@@ -25,6 +25,7 @@ from .cyclic import (
 )
 from .dynamics import BinConfig, evolve_bins
 from .ibm import hydrolimit_check
+from ._parallel import parallel_map, spawn_seeds
 from .params import Params, ParamsError, format_number, parse_number
 from .regions import SweepGrid, classify, sweep
 from .stationary import ConvergenceError, fixed_point_solve
@@ -104,12 +105,12 @@ def _cmd_speed(args) -> int:
     params = _params_from(args)
     if args.exact:
         report = classify(params)
-        proposal = fixed_point_solve(params.as_float(), 1e-12)
+        # closed form, no iteration: exact, so the certified error is 0
         _emit(
             {
                 "z": list(report.z),
                 "speed": report.speed,
-                "iterations": proposal.iterations,
+                "iterations": None,
                 "certified_error": Fraction(0),
             }
         )
@@ -246,23 +247,17 @@ def _cmd_extensions(args) -> int:
     return EXIT_OK
 
 
-def _probe_one(budget: int, seeds: dict, g: DCGraph):
-    return conjecture_probe(g, budget, seeds[g])
+def _probe_one(budget: int, task: tuple[DCGraph, int]):
+    g, seed = task
+    return conjecture_probe(g, budget, seed)
 
 
 def _cmd_conjecture(args) -> int:
     from .combinatorics import connected_component_of_one
 
     graphs = [g for g in enumerate_dc(args.n) if connected_component_of_one(g).n == args.n]
-    seeds = {g: args.seed + 1000 * graph_index(g) for g in graphs}
-    worker = partial(_probe_one, args.budget, seeds)
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(worker, graphs))
-    else:
-        reports = [worker(g) for g in graphs]
+    tasks = list(zip(graphs, spawn_seeds(args.seed, len(graphs))))
+    reports = parallel_map(partial(_probe_one, args.budget), tasks, args.jobs)
     payload = {
         "n": args.n,
         "seed": args.seed,

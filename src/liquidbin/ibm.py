@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._parallel import parallel_map, spawn_seeds
 from .params import Number, Params
 from .regions import classify
 
@@ -228,18 +229,8 @@ def hydrolimit_check(
     norm = params.normalized_rates()
     liquid = float(classify(norm).speed)
     s_values = list(s_values)
-    children = np.random.SeedSequence(seed).spawn(len(s_values))
-    tasks = [
-        (s, int(child.generate_state(1)[0])) for s, child in zip(s_values, children)
-    ]
-    worker = partial(_hydro_row, params, steps, liquid)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(worker, tasks))
-    else:
-        rows = [worker(task) for task in tasks]
+    tasks = list(zip(s_values, spawn_seeds(seed, len(s_values))))
+    rows = parallel_map(partial(_hydro_row, params, steps, liquid), tasks, jobs)
     return HydroSummary(
         rows=tuple(rows),
         gap_first=rows[0].gap,

@@ -8,6 +8,7 @@ cumulative rates q_i = p_1 + ... + p_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -88,7 +89,7 @@ class Params:
             out.append(out[-1] + pi)
         return tuple(out)
 
-    @property
+    @cached_property  # region scans ask once per solved graph
     def is_exact(self) -> bool:
         return all(is_exact_scalar(x) for x in self.a + self.p)
 

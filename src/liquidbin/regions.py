@@ -5,14 +5,15 @@ For a DC graph G, the sojourn vector z solves a triangular system whose
 coefficients are path weights in G.  The parameters lie in the region of
 G exactly when z_1 > z_{i+1} + ... + z_j for the maximal edges (i, j) of
 G and z_1 <= z_{i+1} + ... + z_j for its addable pairs; this package
-classifies points with an iterate-first, closed-form-confirm strategy and
-reports near-equalities as wall flags instead of guessing.
+classifies points by walking to the region in floating point, confirms
+with the closed form, and reports near-equalities as wall flags instead
+of guessing.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import (
     DCGraph,
@@ -27,12 +28,18 @@ from .combinatorics import (
     maximal_edges,
     regions_adjacent,
 )
+from ._parallel import parallel_map
 from .params import Number, Params, ParamsError, parse_number
-from .stationary import ConvergenceError, fixed_point_solve
+
+
+def _tables(g: DCGraph, params: Params):
+    # exactness is part of the key: a float and an exact Params of equal
+    # value compare and hash equal, and must not share float tables
+    return _cached_tables(g, params, params.is_exact)
 
 
 @lru_cache(maxsize=512)
-def _tables(g: DCGraph, params: Params):
+def _cached_tables(g: DCGraph, params: Params, exact: bool):
     """b map (index 0..N), edge weights, and the path-weight matrix of g.
 
     Path weights are accumulated by descending first-step decomposition,
@@ -144,12 +151,20 @@ def in_region_report(
     without the edge), a flagged addable pair passes."""
     if z is None:
         z = solve_system(g, params)
+    return _region_gaps(g, z, tol)[:2]
+
+
+def _region_gaps(g: DCGraph, z: Sequence[Number], tol: Number) -> tuple[bool, frozenset[Edge], Number]:
+    """in_region_report's verdict and flags, plus the violation: the
+    largest gap on the wrong side of its wall (0 inside the region)."""
     z1 = z[0]
     tau = tol * z1
     flags = set()
     ok = True
+    violation = 0
     for (i, j) in maximal_edges(g):
         gap = z1 - _zsum(z, i, j)
+        violation = max(violation, -gap)
         if abs(gap) <= tau:
             flags.add((i, j))
             ok = False
@@ -157,11 +172,12 @@ def in_region_report(
             ok = False
     for (i, j) in addable_edges(g):
         gap = z1 - _zsum(z, i, j)
+        violation = max(violation, gap)
         if abs(gap) <= tau:
             flags.add((i, j))
         elif gap > 0:
             ok = False
-    return ok, frozenset(flags)
+    return ok, frozenset(flags), violation
 
 
 @dataclass(frozen=True)
@@ -180,85 +196,97 @@ class RegionReport:
         return len(self.graph.edges) == len(all_pairs(self.graph.n))
 
 
+def _scan(candidates: Iterable[tuple[int, DCGraph]], params: Params, tol: Number) -> RegionReport:
+    """Solve each (canonical index, graph) candidate once, in the given
+    order, and report the first whose region holds the parameters.
+
+    If none does (float only: every candidate is within tol of a wall),
+    report the least-violating graph, ties to the lower canonical index,
+    as unverified and ambiguous: an explicit wall result.
+    """
+    best = None
+    for index, g in candidates:
+        z = solve_system(g, params)
+        ok, flags, violation = _region_gaps(g, z, tol)
+        if ok:
+            break
+        if best is None or (violation, index) < best[0]:
+            best = (violation, index), g, z, flags
+    else:
+        _, g, z, flags = best
+    return RegionReport(
+        graph=g,
+        dyck=dc_to_dyck(g),
+        z=z,
+        speed=1 / z[0],
+        verified=ok,
+        boundary_flags=flags,
+        ambiguous=not ok or (not params.is_exact and bool(flags)),
+    )
+
+
 def find_region(params: Params, tol: Number = 0) -> tuple[DCGraph, frozenset[Edge]] | None:
     """Scan the canonical enumeration for the (unique) region containing
     the parameters.  Returns None if no candidate verifies, which can only
     happen in floating point within tol of a wall."""
-    for g in enumerate_dc(params.n):
-        ok, flags = in_region_report(g, params, tol)
-        if ok:
-            return g, flags
-    return None
+    report = _scan(enumerate(enumerate_dc(params.n)), params, tol)
+    return (report.graph, report.boundary_flags) if report.verified else None
+
+
+def _proposal_first(proposal: DCGraph) -> Iterator[tuple[int, DCGraph]]:
+    """The proposal, then the other graphs by edge-set distance from it,
+    equal distances in canonical order (the sort is stable); the sort runs
+    only if the proposal fails."""
+    yield graph_index(proposal), proposal
+    ranked = sorted(
+        enumerate(enumerate_dc(proposal.n)), key=lambda c: len(c[1].edges ^ proposal.edges)
+    )
+    yield from ranked[1:]  # ranked[0] is the proposal, at distance 0
+
+
+def _gap_edges(z: Sequence[Number], margin: Number) -> frozenset[Edge]:
+    """The pairs (i, j) whose sub-pairs (i', j') all have
+    z_1 - (z_{i'+1} + ... + z_{j'}) > margin: the largest downward-closed
+    set of pairs above the margin, which is all of them when z > 0."""
+    up = {(i, j) for (i, j) in all_pairs(len(z)) if z[0] - _zsum(z, i, j) > margin}
+    return frozenset(
+        (i, j) for (i, j) in up
+        if all((i2, j2) in up for i2 in range(i, j) for j2 in range(i2 + 1, j + 1))
+    )
+
+
+def _walk(params: Params) -> tuple[Number, ...]:
+    """Newton's method on the piecewise-linear stationarity equations.
+
+    From the empty graph, solve the current graph's system and move to the
+    graph whose walls that solution lies inside.  Returns the solution of
+    the first graph whose region holds the parameters strictly, or the
+    last one solved once the walk comes back to a graph.  Each step costs
+    one closed-form solve, however slowly the fixed-point iteration would
+    contract (it needs about q_N/q_1 steps).
+    """
+    g, seen = DCGraph.empty(params.n), set()
+    while True:
+        z = solve_system(g, params)
+        if g in seen or _region_gaps(g, z, 0)[0]:
+            return z
+        seen.add(g)
+        g = DCGraph(params.n, _gap_edges(z, 0))
 
 
 def classify(params: Params, tol: Number = 1e-9) -> RegionReport:
-    """Locate the region of the parameters: iterate-first, confirm with
-    the closed form, fall back to a search ordered by edge-set distance.
+    """Locate the region of the parameters: walk to it in floating point,
+    confirm the graph the walk's solution proposes with the closed form,
+    fall back to a search ordered by edge-set distance.
 
     Rational parameters give an exactly confirmed report.  In floating
     point, any gap within the relative tolerance of zero makes the report
     ambiguous (an explicit wall result, never a silent guess).
     """
-    n = params.n
     exact = params.is_exact
-    pf = params.as_float() if exact else params
-    proposal = DCGraph.empty(n)
-    try:
-        zf = fixed_point_solve(pf, 1e-13 * (1 + max(pf.a)), max_iterations=50_000).profile.z
-        margin = max(tol, 1e-12) * zf[0]
-        proposed = {
-            (i, j) for (i, j) in all_pairs(n) if zf[0] - _zsum(zf, i, j) > margin
-        }
-        closure = set(proposed)
-        for (i, j) in proposed:
-            closure.update(
-                (i2, j2) for i2 in range(i, j) for j2 in range(i2 + 1, j + 1)
-            )
-        proposal = DCGraph(n, frozenset(closure))
-    except (ConvergenceError, OverflowError):
-        pass
-
-    conf_tol = 0 if exact else tol
-    candidates = [proposal] + sorted(
-        enumerate_dc(n), key=lambda g: (len(g.edges ^ proposal.edges), graph_index(g))
-    )
-    for g in candidates:
-        z = solve_system(g, params)
-        ok, flags = in_region_report(g, params, conf_tol, z)
-        if ok:
-            return RegionReport(
-                graph=g,
-                dyck=dc_to_dyck(g),
-                z=z,
-                speed=1 / z[0],
-                verified=True,
-                boundary_flags=flags,
-                ambiguous=(not exact) and bool(flags),
-            )
-    # float-only corner: every candidate sits within tol of a wall; report
-    # the least-violating graph as an explicit wall result
-    best, best_flags, best_violation = None, frozenset(), None
-    for g in enumerate_dc(n):
-        z = solve_system(g, params)
-        z1 = z[0]
-        violation = 0
-        for (i, j) in maximal_edges(g):
-            violation = max(violation, _zsum(z, i, j) - z1)
-        for (i, j) in addable_edges(g):
-            violation = max(violation, z1 - _zsum(z, i, j))
-        if best_violation is None or violation < best_violation:
-            _, flags = in_region_report(g, params, conf_tol, z)
-            best, best_flags, best_violation = g, flags, violation
-    z = solve_system(best, params)
-    return RegionReport(
-        graph=best,
-        dyck=dc_to_dyck(best),
-        z=z,
-        speed=1 / z[0],
-        verified=False,
-        boundary_flags=best_flags,
-        ambiguous=True,
-    )
+    z = _walk(params.as_float() if exact else params)
+    proposal = DCGraph(params.n, _gap_edges(z, max(tol, 1e-12) * z[0]))
+    return _scan(_proposal_first(proposal), params, 0 if exact else tol)
 
 
 @dataclass(frozen=True)
@@ -386,10 +414,4 @@ def sweep(
     else:
         (n0, vs0), (n1, vs1) = grid.axes
         envs = [{n0: v0, n1: v1} for v0 in vs0 for v1 in vs1]
-    worker = partial(_sweep_point, grid, exact, tol)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, envs))
-    return [worker(env) for env in envs]
+    return parallel_map(partial(_sweep_point, grid, exact, tol), envs, jobs)

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from liquidbin.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_WALL, run
 
 
@@ -16,6 +18,16 @@ def test_speed_exact(capsys):
     payload = json.loads(out)
     assert payload["z"] == ["9/8", "1/2"]
     assert payload["speed"] == "8/9"
+    assert payload["certified_error"] == "0"
+
+
+def test_speed_exact_reports_closed_form_without_iterations(capsys):
+    # q_1/q_N = 1e-6: the float iteration stalls, the closed form does not
+    code, out, _ = run_cli(capsys, "speed", "--a", "1,2,3", "--p", "1/1000000,1,1", "--exact")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["speed"] == "1333334666667/1666667000000"
+    assert payload["iterations"] is None
     assert payload["certified_error"] == "0"
 
 
@@ -185,6 +197,30 @@ def test_conjecture_command(tmp_path, capsys):
     assert payload["all_covered"] is True
     assert len(payload["graphs"]) == 2
     assert json.loads(out)["all_covered"] is True
+
+
+def test_conjecture_master_seeds_do_not_share_streams(capsys):
+    seeds = []
+    for master in ("0", "1000"):
+        code, out, _ = run_cli(capsys, "conjecture", "--n", "3", "--budget", "50", "--seed", master)
+        assert code == EXIT_OK
+        seeds.append({g["seed"] for g in json.loads(out)["graphs"]})
+    assert len(seeds[0]) == 2 and not seeds[0] & seeds[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--fixed", "a1=0.3,a2=1,p2=1-p1", "--vary", "p1=0.1:0.3:0.1"],
+        ["conjecture", "--n", "3", "--budget", "10"],
+        ["ibm", "--a", "1.5,2.5", "--p", "0.5,1.5", "--s", "20", "--steps", "1000"],
+    ],
+    ids=["sweep", "conjecture", "ibm"],
+)
+def test_jobs_below_one_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--jobs", "0")
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and "jobs" in err
 
 
 def test_ibm_command(tmp_path, capsys):

@@ -15,6 +15,7 @@ from liquidbin.combinatorics import (
 from liquidbin.params import Params, ParamsError
 from liquidbin.regions import (
     SweepGrid,
+    _scan,
     big_gamma,
     boundary_gap,
     check_continuity,
@@ -428,10 +429,66 @@ def test_sweep_parallel_output_matches_serial():
 
 
 def test_classify_survives_extreme_contraction_factor():
-    # fixed-point proposal stalls; the ordered scan still confirms exactly
+    # the fixed-point iteration would stall here; the walk does not iterate it
     report = classify(Params((1.0, 2.0), (1e-4, 1.0)))
     assert report.graph == K(2)
     assert report.verified
+
+
+def test_classify_float_proposal_with_coinciding_breakpoints():
+    # the float fixed point puts z_2 at 0, where no profile can be built;
+    # the walk's closed-form solves keep the two apart
+    params = Params((1e16, 1e16 + 2), (1.0, 1.0))
+    report = classify(params)
+    assert report.graph == K(2)
+    assert report.verified and not report.ambiguous
+    assert find_region(params) == (K(2), frozenset())
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_classify_matches_find_region_at_stalled_contraction(n, exact):
+    # q_1/q_N <= 1e-5: the fixed-point iteration would need millions of
+    # steps on these points; the walk reaches the region in a few solves
+    rng = random.Random(n)
+    for _ in range(5):
+        params = random_rational_params(rng, n)
+        p1 = sum(params.p[1:]) / (10**5 * rng.randint(1, 10))
+        params = Params(params.a, (p1,) + params.p[1:])
+        assert params.q[1] / params.q[n] <= F(1, 10**5)
+        if not exact:
+            params = params.as_float()
+        report = classify(params)
+        assert report.verified
+        assert report.graph == find_region(params)[0]
+
+
+def test_classify_exact_point_after_its_float_twin():
+    # a float and an exact Params of equal value compare and hash equal;
+    # tables cached for the float one must not serve the exact one
+    params = Params((F(2), F(4), F(6)), (F(3), F(3), F(3)))
+    assert classify(params.as_float()).ambiguous
+    report = classify(params)
+    assert report.graph == L(3) and report.boundary_flags == frozenset({(1, 3)})
+    assert report.verified and not report.ambiguous
+    assert report.z == (F(4, 9), F(2, 9), F(2, 9))
+
+
+def test_scan_without_the_true_region_reports_least_violation():
+    # the region of this point is L(3), index 1; without it, K(3) (index 0)
+    # and the graph {(2, 3)} (index 3) both miss by 1/3, and the tie goes
+    # to the lower index however the candidates are ordered
+    params = Params((F(1), F(3), F(5)), (F(1), F(1), F(1)))
+    graphs = enumerate_dc(3)
+    assert graphs[1] == L(3) and in_region(L(3), params)
+    assert graphs[3] == DCGraph(3, frozenset({(2, 3)}))
+    candidates = [(i, g) for i, g in enumerate(graphs) if i != 1]
+    for order in (candidates, candidates[::-1]):
+        report = _scan(order, params, 0)
+        assert report.graph == K(3)
+        assert report.z == solve_system(K(3), params)
+        assert not report.verified
+        assert report.ambiguous
 
 
 def test_exactly_one_region_verifies():
