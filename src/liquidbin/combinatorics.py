@@ -198,6 +198,8 @@ def b_map(g: DCGraph, i: int) -> int:
     return best
 
 
+# region checks ask for m(G) and M(G) of the same few graphs at every point
+@lru_cache(maxsize=4096)
 def maximal_edges(g: DCGraph) -> frozenset[Edge]:
     """m(G): edges maximal for the nesting order."""
     return frozenset(
@@ -206,6 +208,7 @@ def maximal_edges(g: DCGraph) -> frozenset[Edge]:
     )
 
 
+@lru_cache(maxsize=4096)
 def addable_edges(g: DCGraph) -> frozenset[Edge]:
     """M(G): pairs outside G whose addition keeps the graph downward closed.
 

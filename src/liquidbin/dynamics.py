@@ -89,10 +89,6 @@ class CarConfig:
             prev = x
 
 
-def _exact_mode(params: Params, values: tuple[Number, ...]) -> bool:
-    return params.is_exact and all(is_exact_scalar(v) for v in values)
-
-
 def cursors(x: BinConfig, params: Params) -> tuple[int, ...]:
     """c_i = max{m : volume in bins m and rightward >= a_i}, for each i."""
     if not x.total >= params.a[-1]:
@@ -139,25 +135,58 @@ def sigma(x: BinConfig, params: Params) -> CarConfig:
     return CarConfig(tuple(reversed(ascending)))
 
 
-class _CarSim:
-    """Mutable car-model state; positions descending, the trailing entry
-    may be the just-activated car at 0."""
+class _EventSim:
+    """Event core shared by the bin and car simulators: advance to the
+    earliest pending event, apply it together with every event tied with
+    it, and repeat until the duration runs out.  Each simulator lists its
+    pending events, moves its state and applies a batch."""
 
-    def __init__(self, y: CarConfig, params: Params):
-        self.params = params
+    def __init__(self, params: Params, values: tuple[Number, ...]):
         self.a = params.a
         self.q = params.q
         self.n = params.n
-        self.exact = _exact_mode(params, y.positions)
+        self.exact = params.is_exact and all(is_exact_scalar(v) for v in values)
+        self.t: Number = 0 * params.a[0]
+
+    def next_event(self) -> tuple[Number, list] | None:
+        """Time to the earliest pending event and the batch of events tied
+        with it: equal in exact mode, within a relative 1e-12 in float."""
+        pending = self._pending()
+        if not pending:
+            return None
+        dt = min(d for d, _ in pending)
+        cutoff = dt if self.exact else dt * (1 + _REL_TIE)
+        return dt, [e for d, e in pending if d <= cutoff]
+
+    def run(self, duration: Number) -> None:
+        """Advance by duration; events landing exactly at the final
+        instant are applied."""
+        remaining = duration
+        while remaining > 0:
+            nxt = self.next_event()
+            if nxt is None or nxt[0] > remaining:
+                self._move(remaining)
+                self.t = self.t + remaining
+                return
+            dt, batch = nxt
+            self._move(dt)
+            self.t = self.t + dt
+            remaining = remaining - dt
+            self._apply(batch)
+
+
+class _CarSim(_EventSim):
+    """Mutable car-model state; positions descending, the trailing entry
+    is the head of the queue at 0."""
+
+    def __init__(self, y: CarConfig, params: Params):
+        super().__init__(params, y.positions)
         if y.positions and not y.positions[0] < params.a[-1]:
             raise ValueError("stored car positions must lie below a_N")
         self.pos: list[Number] = list(y.positions)
         self.ids: list[int] = list(range(len(self.pos)))
         self._next_id = len(self.pos)
-        self.pos.append(0 * params.a[0])  # head of the implicit zero queue
-        self.ids.append(self._next_id)
-        self._next_id += 1
-        self.t: Number = 0 * params.a[0]
+        self._respawn_zero()
         self.crossings: list[tuple[Number, int, int]] = []  # (time, sign, car id)
 
     def _speeds(self) -> list[Number]:
@@ -166,51 +195,32 @@ class _CarSim:
             v.append(self.q[bisect_right(self.a, self.pos[k - 1])])
         return v
 
-    def _pending(self) -> list[tuple[Number, int, int]]:
-        """(dt, car slot, sign) for every car that is heading to a sign."""
+    def _pending(self) -> list[tuple[Number, tuple[int, int]]]:
+        """(dt, (car slot, sign)) for every car that is heading to a sign."""
         out = []
-        speeds = self._speeds()
-        for k, (x, v) in enumerate(zip(self.pos, speeds)):
+        for k, (x, v) in enumerate(zip(self.pos, self._speeds())):
             if not v > 0:
                 continue
             sign = bisect_right(self.a, x) + 1
             if sign <= self.n:
-                out.append(((self.a[sign - 1] - x) / v, k, sign))
+                out.append(((self.a[sign - 1] - x) / v, (k, sign)))
         return out
 
-    def next_event(self) -> tuple[Number, list[tuple[int, int]]] | None:
-        pending = self._pending()
-        if not pending:
-            return None
-        dt = min(e[0] for e in pending)
-        cutoff = dt if self.exact else dt * (1 + _REL_TIE)
-        return dt, [(k, sign) for (d, k, sign) in pending if d <= cutoff]
+    def _move(self, dt: Number) -> None:
+        for k, v in enumerate(self._speeds()):
+            self.pos[k] = self.pos[k] + v * dt
+        self._respawn_zero()
 
-    def run(self, duration: Number) -> None:
-        remaining = duration
-        while remaining > 0:
-            nxt = self.next_event()
-            speeds = self._speeds()
-            if nxt is None or nxt[0] > remaining:
-                for k in range(len(self.pos)):
-                    self.pos[k] = self.pos[k] + speeds[k] * remaining
-                self.t = self.t + remaining
-                self._respawn_zero()
-                return
-            dt, batch = nxt
-            for k in range(len(self.pos)):
-                self.pos[k] = self.pos[k] + speeds[k] * dt
-            self.t = self.t + dt
-            remaining = remaining - dt
-            for (k, sign) in sorted(batch, key=lambda ks: ks[1]):
-                self.pos[k] = self.a[sign - 1]  # snap: exact in rational mode, drift-free in float
-                self.crossings.append((self.t, sign, self.ids[k]))
-            while self.pos and self.pos[0] >= self.a[-1]:
-                self.pos.pop(0)
-                self.ids.pop(0)
-            self._respawn_zero()
+    def _apply(self, batch: list[tuple[int, int]]) -> None:
+        for (k, sign) in sorted(batch, key=lambda ks: ks[1]):
+            self.pos[k] = self.a[sign - 1]  # snap: exact in rational mode, drift-free in float
+            self.crossings.append((self.t, sign, self.ids[k]))
+        while self.pos and self.pos[0] >= self.a[-1]:
+            self.pos.pop(0)
+            self.ids.pop(0)
 
     def _respawn_zero(self) -> None:
+        # the queue at 0 releases its next car once its head has left
         if not self.pos or self.pos[-1] > 0:
             self.pos.append(0 * self.a[0])
             self.ids.append(self._next_id)
@@ -245,22 +255,19 @@ def step_cars(y: CarConfig, params: Params, t: Number) -> tuple[CarConfig, Event
     return sim.to_config(), sim.event_log()
 
 
-class _BinSim:
-    """Mutable bin-model state with explicit cursor bookkeeping."""
+class _BinSim(_EventSim):
+    """Mutable bin-model state with explicit cursor bookkeeping.  Only the
+    bins at or right of cursor N are kept: the tails the dynamics reads
+    start right of a cursor, and cursors never move left."""
 
     def __init__(self, x: BinConfig, params: Params):
-        self.params = params
-        self.a = params.a
+        super().__init__(params, x.volumes)
         self.p = params.p
-        self.q = params.q
-        self.n = params.n
-        self.exact = _exact_mode(params, x.volumes)
         self.front = x.front
-        self.vol: dict[int, Number] = {
-            x.front - i: v for i, v in enumerate(x.volumes)
-        }
         self.c: list[int] = list(cursors(x, params))
-        self.t: Number = 0 * params.a[0]
+        self.vol: dict[int, Number] = {
+            x.front - i: v for i, v in enumerate(x.volumes) if x.front - i >= self.c[-1]
+        }
         self.jumps: list[tuple[Number, int, int]] = []  # (time, cursor, new bin)
 
     def _tail(self, m: int) -> Number:
@@ -275,40 +282,26 @@ class _BinSim:
             out.append(self.q[m + 1])
         return out
 
-    def next_event(self) -> tuple[Number, list[int]]:
+    def _pending(self) -> list[tuple[Number, int]]:
         rates = self._rates()
-        dts = [
-            (self.a[i] - self._tail(self.c[i] + 1)) / rates[i] for i in range(self.n)
-        ]
-        dt = min(dts)
-        cutoff = dt if self.exact else dt * (1 + _REL_TIE)
-        return dt, [i for i in range(self.n) if dts[i] <= cutoff]
+        return [((self.a[i] - self._tail(self.c[i] + 1)) / rates[i], i) for i in range(self.n)]
 
-    def _pour(self, dt: Number) -> None:
+    def _move(self, dt: Number) -> None:
         for j in range(self.n):
             target = self.c[j] + 1
             self.vol[target] = self.vol.get(target, 0 * dt) + self.p[j] * dt
         self.front = max(self.front, self.c[0] + 1)
 
-    def run(self, duration: Number) -> None:
-        remaining = duration
-        while remaining > 0:
-            dt, batch = self.next_event()
-            if dt > remaining:
-                self._pour(remaining)
-                self.t = self.t + remaining
-                return
-            self._pour(dt)
-            self.t = self.t + dt
-            remaining = remaining - dt
-            for i in batch:
-                self.c[i] += 1
-                self.jumps.append((self.t, i + 1, self.c[i]))
+    def _apply(self, batch: list[int]) -> None:
+        for i in batch:
+            self.c[i] += 1
+            self.jumps.append((self.t, i + 1, self.c[i]))
+        if self.n - 1 in batch:
+            del self.vol[self.c[-1] - 1]
 
     def to_config(self) -> BinConfig:
-        lo = self.c[-1]  # bins left of cursor N never influence the dynamics
-        ks = [k for k in sorted(self.vol, reverse=True) if k >= lo and self.vol[k] > 0]
-        return BinConfig(self.front, tuple(self.vol[k] for k in ks))
+        ks = sorted(self.vol, reverse=True)
+        return BinConfig(self.front, tuple(self.vol[k] for k in ks if self.vol[k] > 0))
 
     def event_log(self) -> EventLog:
         return tuple(Event(t, CURSOR_JUMP, i, b) for (t, i, b) in self.jumps)

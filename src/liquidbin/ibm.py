@@ -82,15 +82,13 @@ def mu_s(params: Params, s: Number) -> MoveDistribution:
     return MoveDistribution(support, tuple(atoms[k] for k in support))
 
 
-def _run_chain(
-    counts: list[int], moves, window: int, on_step=None
-) -> tuple[list[int], int]:
+def _run_chain(counts: list[int], moves, window: int) -> tuple[list[int], int]:
     """Advance the occupancy by one step per move, keeping at least
     `window` rightmost particles stored; returns the trimmed window and
     the total front displacement."""
     displacement = 0
     counts_total = sum(counts)
-    for step_idx, xi in enumerate(moves):
+    for xi in moves:
         cum = 0
         idx = 0
         while cum + counts[idx] < xi:
@@ -104,8 +102,6 @@ def _run_chain(
         counts_total += 1
         while counts_total - counts[-1] >= window:
             counts_total -= counts.pop()
-        if on_step is not None:
-            on_step(step_idx, displacement)
     return counts, displacement
 
 
@@ -118,26 +114,26 @@ def simulate_ibm(dist: MoveDistribution, steps: int, seed: int) -> SimResult:
     k = dist.max_move
     burn = 10 * k
     rng = np.random.default_rng(seed)
-    if len(dist.support) == 1:
-        moves_burn = [k] * burn
-        moves = np.full(steps, k, dtype=np.int64)
-    else:
-        thresholds = np.cumsum(dist.weights[:-1])
-        support = np.asarray(dist.support, dtype=np.int64)
-        moves_burn = support[np.searchsorted(thresholds, rng.random(burn), side="right")].tolist()
-        moves = support[np.searchsorted(thresholds, rng.random(steps), side="right")]
+    thresholds = np.cumsum(dist.weights[:-1])
+    support = np.asarray(dist.support, dtype=np.int64)
 
-    counts, _ = _run_chain([k], moves_burn, k)
+    def draw(count: int) -> list[int]:
+        # successive draws continue one stream: chunking does not change the moves
+        if len(dist.support) == 1:
+            return [k] * count
+        return support[np.searchsorted(thresholds, rng.random(count), side="right")].tolist()
+
+    counts, _ = _run_chain([k], draw(burn), k)
 
     batches = max(1, math.isqrt(steps))
     batch_len = max(1, steps // batches)
-    marks: list[int] = []
-
-    def record(step_idx: int, displacement: int) -> None:
-        if (step_idx + 1) % batch_len == 0:
+    marks: list[int] = []  # displacement after each full batch
+    displacement = 0
+    for start in range(0, steps, batch_len):
+        counts, moved = _run_chain(counts, draw(min(batch_len, steps - start)), k)
+        displacement += moved
+        if start + batch_len <= steps:
             marks.append(displacement)
-
-    counts, displacement = _run_chain(counts, moves.tolist(), k, on_step=record)
     estimate = displacement / steps
     ci95 = float("nan")
     if len(marks) >= 2:

@@ -8,7 +8,6 @@ cumulative rates q_i = p_1 + ... + p_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -49,6 +48,10 @@ def is_exact_scalar(x: Number) -> bool:
     return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
 
 
+def _ints_as_fractions(xs: Sequence[Number]) -> tuple[Number, ...]:
+    return tuple(Fraction(x) if isinstance(x, int) and not isinstance(x, bool) else x for x in xs)
+
+
 @dataclass(frozen=True)
 class Params:
     """Validated parameter vector (a, p) with derived gaps and rates."""
@@ -57,8 +60,10 @@ class Params:
     p: tuple[Number, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "p", tuple(self.p))
+        # ints count as exact, so they are stored as Fractions: `/` on them
+        # would compute in float
+        object.__setattr__(self, "a", _ints_as_fractions(self.a))
+        object.__setattr__(self, "p", _ints_as_fractions(self.p))
         if len(self.a) == 0 or len(self.a) != len(self.p):
             raise ParamsError(
                 f"need N >= 1 thresholds and as many rates, got {len(self.a)} and {len(self.p)}"
@@ -89,7 +94,7 @@ class Params:
             out.append(out[-1] + pi)
         return tuple(out)
 
-    @cached_property  # region scans ask once per solved graph
+    @property
     def is_exact(self) -> bool:
         return all(is_exact_scalar(x) for x in self.a + self.p)
 

@@ -12,7 +12,7 @@ of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import (
@@ -33,13 +33,6 @@ from .params import Number, Params, ParamsError, parse_number
 
 
 def _tables(g: DCGraph, params: Params):
-    # exactness is part of the key: a float and an exact Params of equal
-    # value compare and hash equal, and must not share float tables
-    return _cached_tables(g, params, params.is_exact)
-
-
-@lru_cache(maxsize=512)
-def _cached_tables(g: DCGraph, params: Params, exact: bool):
     """b map (index 0..N), edge weights, and the path-weight matrix of g.
 
     Path weights are accumulated by descending first-step decomposition,

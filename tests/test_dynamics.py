@@ -72,7 +72,8 @@ def test_next_event_time_fig1():
     dt, argmin = next_event_time(y0, FIG1)
     assert dt == F(1, 4)
     assert argmin == frozenset({(0, 1)})
-    y1, _ = step_cars(y0, FIG1, F(1, 4))
+    y1, log = step_cars(y0, FIG1, F(1, 4))
+    assert [(ev.time, ev.index) for ev in log] == [(F(1, 4), 1)]  # final instant included
     dt2, _ = next_event_time(y1, FIG1)
     assert dt2 == F(1, 2)
 
@@ -261,6 +262,18 @@ def test_car_speeds_never_decrease():
                 seen[cid] = max(seen.get(cid, 0), rank)
             sim.run(nxt[0])
             remaining -= nxt[0]
+
+
+def test_bin_state_starts_at_cursor_n():
+    # bins left of cursor N are dropped at start-up and as cursor N jumps
+    from liquidbin.dynamics import _BinSim
+
+    params = Params((1.0, 2.3, 3.1), (0.7, 0.4, 0.9))
+    sim = _BinSim(BinConfig(front=4, volumes=(0.5,) * 12), params)
+    assert min(sim.vol) == sim.c[-1]
+    sim.run(400.0)
+    assert sum(1 for _, i, _ in sim.jumps if i == params.n) > 100
+    assert min(sim.vol) == sim.c[-1]
 
 
 def test_negative_duration_rejected():

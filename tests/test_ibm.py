@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -66,6 +67,22 @@ def test_seed_reproducibility():
     assert a.state == b.state
     c = simulate_ibm(dist, 20000, seed=100)
     assert c.front_displacement != a.front_displacement or c.state != a.state
+
+
+@pytest.mark.parametrize(
+    "steps, displacement, occupancy, ci95",
+    [(1, 0, (1, 2, 4), None), (10**4 + 37, 3572, (1, 1, 2), 0.0042532405993500515)],
+)
+def test_seeded_chain_pinned(steps, displacement, occupancy, ci95):
+    # moves are drawn batch by batch; the seeded stream must not change
+    res = simulate_ibm(MoveDistribution((1, 3, 4), (0.25, 0.25, 0.5)), steps, seed=3)
+    assert res.front_displacement == displacement
+    assert res.speed_estimate == displacement / steps
+    assert res.state.occupancy == occupancy
+    if ci95 is None:
+        assert math.isnan(res.ci95)  # a single batch has no spread
+    else:
+        assert res.ci95 == pytest.approx(ci95, rel=1e-12)
 
 
 def test_deterministic_single_atom_matches_cycle_detection():

@@ -465,13 +465,25 @@ def test_classify_matches_find_region_at_stalled_contraction(n, exact):
 
 def test_classify_exact_point_after_its_float_twin():
     # a float and an exact Params of equal value compare and hash equal;
-    # tables cached for the float one must not serve the exact one
+    # classifying the float one first must not change the exact result
     params = Params((F(2), F(4), F(6)), (F(3), F(3), F(3)))
     assert classify(params.as_float()).ambiguous
     report = classify(params)
     assert report.graph == L(3) and report.boundary_flags == frozenset({(1, 3)})
     assert report.verified and not report.ambiguous
     assert report.z == (F(4, 9), F(2, 9), F(2, 9))
+
+
+def test_int_params_classify_exactly_in_either_call_order():
+    # int entries count as exact; they used to be divided in float, and
+    # the float result then served the equal-hashing Fraction twin
+    ints = Params((1, 2, 3), (1, 1, 1))
+    fracs = Params((F(1), F(2), F(3)), (F(1), F(1), F(1)))
+    for first, second in ((ints, fracs), (fracs, ints)):
+        for params in (first, second):
+            report = classify(params)
+            assert report.graph == L(3) and report.verified and not report.ambiguous
+            assert report.z == (F(2, 3), F(1, 3), F(1, 3))
 
 
 def test_scan_without_the_true_region_reports_least_violation():
