@@ -116,6 +116,7 @@ class DyckPath:
         return tuple(out)
 
 
+@lru_cache(maxsize=4096)
 def dc_to_dyck(g: DCGraph) -> DyckPath:
     """Supremum of the broken lines of all edges and vertex tents.
 
@@ -180,9 +181,29 @@ def enumerate_dc(n: int) -> tuple[DCGraph, ...]:
     return _enumerate_dc_cached(n)
 
 
+def _ballot(height: int, steps: int) -> int:
+    """Number of +/- paths of the given length from height to 0 that never
+    dip below 0 (a ballot number)."""
+    if steps < height or (steps - height) % 2:
+        return 0
+    downs = (steps + height) // 2
+    return comb(steps, downs) - comb(steps, downs + 1)
+
+
 def graph_index(g: DCGraph) -> int:
-    """Position of g in the canonical enumeration order."""
-    return enumerate_dc(g.n).index(g)
+    """Position of g in the canonical enumeration order: the lexicographic
+    rank of its Dyck word, which counts, at every '-' step, the completions
+    of the same prefix that take '+' there instead (Knuth, TAOCP 4A
+    7.2.1.6).  O(N^2) arithmetic; enumerate_dc is never built."""
+    word = dc_to_dyck(g).word
+    rank = height = 0
+    for k, c in enumerate(word):
+        if c == "-":
+            rank += _ballot(height + 1, len(word) - k - 1)
+            height -= 1
+        else:
+            height += 1
+    return rank
 
 
 def b_map(g: DCGraph, i: int) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 from .combinatorics import DCGraph, b_map, connected_component_of_one
 from .dynamics import step_cars
 from .params import Number, Params
-from .regions import classify, find_region, solve_system
+from .regions import classify, solve_system
 from .stationary import StationaryProfile, canonical_configuration
 
 
@@ -292,15 +292,15 @@ def conjecture_probe(g: DCGraph, budget: int, seed: int, tol: Number = 1e-9) -> 
     remaining = set(extensions)
     for used in range(1, budget + 1):
         params = sample_params(rng, g.n)
-        found = find_region(params, tol=tol)
-        if found is None or found[1]:
+        report = classify(params, tol=tol)
+        if report.ambiguous:
             skipped += 1  # within tolerance of a wall: never guess
             continue
-        if found[0] != g:
+        if report.graph != g:
             continue
         hits += 1
         try:
-            order = jump_order(params, tol=tol, method="phases", graph=g)
+            order = jump_order(params, tol=tol, method="phases", graph=g, z=report.z)
         except WallTieError:
             skipped += 1
             continue

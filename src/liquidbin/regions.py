@@ -189,22 +189,29 @@ class RegionReport:
         return len(self.graph.edges) == len(all_pairs(self.graph.n))
 
 
-def _scan(candidates: Iterable[tuple[int, DCGraph]], params: Params, tol: Number) -> RegionReport:
-    """Solve each (canonical index, graph) candidate once, in the given
-    order, and report the first whose region holds the parameters.
+def _scan(
+    candidates: Iterable[DCGraph],
+    params: Params,
+    tol: Number,
+    solved: tuple[DCGraph, tuple[Number, ...]] | None = None,
+) -> RegionReport:
+    """Solve each candidate graph once, in the given order, and report the
+    first whose region holds the parameters; a (graph, z) already solved
+    for these same parameters is reused, not solved again.
 
     If none does (float only: every candidate is within tol of a wall),
     report the least-violating graph, ties to the lower canonical index,
     as unverified and ambiguous: an explicit wall result.
     """
     best = None
-    for index, g in candidates:
-        z = solve_system(g, params)
+    for g in candidates:
+        z = solved[1] if solved is not None and g == solved[0] else solve_system(g, params)
         ok, flags, violation = _region_gaps(g, z, tol)
         if ok:
             break
-        if best is None or (violation, index) < best[0]:
-            best = (violation, index), g, z, flags
+        if (best is None or violation < best[0]
+                or violation == best[0] and graph_index(g) < graph_index(best[1])):
+            best = violation, g, z, flags
     else:
         _, g, z, flags = best
     return RegionReport(
@@ -222,18 +229,16 @@ def find_region(params: Params, tol: Number = 0) -> tuple[DCGraph, frozenset[Edg
     """Scan the canonical enumeration for the (unique) region containing
     the parameters.  Returns None if no candidate verifies, which can only
     happen in floating point within tol of a wall."""
-    report = _scan(enumerate(enumerate_dc(params.n)), params, tol)
+    report = _scan(enumerate_dc(params.n), params, tol)
     return (report.graph, report.boundary_flags) if report.verified else None
 
 
-def _proposal_first(proposal: DCGraph) -> Iterator[tuple[int, DCGraph]]:
+def _proposal_first(proposal: DCGraph) -> Iterator[DCGraph]:
     """The proposal, then the other graphs by edge-set distance from it,
     equal distances in canonical order (the sort is stable); the sort runs
     only if the proposal fails."""
-    yield graph_index(proposal), proposal
-    ranked = sorted(
-        enumerate(enumerate_dc(proposal.n)), key=lambda c: len(c[1].edges ^ proposal.edges)
-    )
+    yield proposal
+    ranked = sorted(enumerate_dc(proposal.n), key=lambda g: len(g.edges ^ proposal.edges))
     yield from ranked[1:]  # ranked[0] is the proposal, at distance 0
 
 
@@ -248,21 +253,21 @@ def _gap_edges(z: Sequence[Number], margin: Number) -> frozenset[Edge]:
     )
 
 
-def _walk(params: Params) -> tuple[Number, ...]:
+def _walk(params: Params) -> tuple[DCGraph, tuple[Number, ...]]:
     """Newton's method on the piecewise-linear stationarity equations.
 
     From the empty graph, solve the current graph's system and move to the
-    graph whose walls that solution lies inside.  Returns the solution of
-    the first graph whose region holds the parameters strictly, or the
-    last one solved once the walk comes back to a graph.  Each step costs
-    one closed-form solve, however slowly the fixed-point iteration would
-    contract (it needs about q_N/q_1 steps).
+    graph whose walls that solution lies inside.  Returns the first graph
+    whose region holds the parameters strictly, or the last one solved
+    once the walk comes back to a graph, with its solution.  Each step
+    costs one closed-form solve, however slowly the fixed-point iteration
+    would contract (it needs about q_N/q_1 steps).
     """
     g, seen = DCGraph.empty(params.n), set()
     while True:
         z = solve_system(g, params)
         if g in seen or _region_gaps(g, z, 0)[0]:
-            return z
+            return g, z
         seen.add(g)
         g = DCGraph(params.n, _gap_edges(z, 0))
 
@@ -277,9 +282,11 @@ def classify(params: Params, tol: Number = 1e-9) -> RegionReport:
     ambiguous (an explicit wall result, never a silent guess).
     """
     exact = params.is_exact
-    z = _walk(params.as_float() if exact else params)
+    g, z = _walk(params.as_float() if exact else params)
     proposal = DCGraph(params.n, _gap_edges(z, max(tol, 1e-12) * z[0]))
-    return _scan(_proposal_first(proposal), params, 0 if exact else tol)
+    if exact:  # the float walk only proposes: the scan solves exactly
+        return _scan(_proposal_first(proposal), params, 0)
+    return _scan(_proposal_first(proposal), params, tol, solved=(g, z))
 
 
 @dataclass(frozen=True)

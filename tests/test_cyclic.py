@@ -213,3 +213,32 @@ def test_sample_params_ranges():
         params = sample_params(rng, 4)
         assert all(1e-2 <= d <= 1e2 for d in params.d)
         assert all(1e-2 <= p <= 1e2 for p in params.p)
+
+
+G5 = DCGraph(5, frozenset({(1, 2), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)}))
+
+
+@pytest.mark.parametrize("g, seed, counts, samples", [
+    (L(4), 0, {"1-3-2-4": 1, "1-4-3-2": 0}, 200),
+    (L(4), 3, {"1-3-2-4": 1, "1-4-3-2": 1}, 51),
+    (G5, 2, {"1-3-4-2-5": 1, "1-5-3-4-2": 1}, 143),
+    (G5, 4, {"1-3-4-2-5": 2, "1-5-3-4-2": 0}, 200),
+])
+def test_seeded_probe_reports_are_pinned(g, seed, counts, samples):
+    # values recorded when the probe located samples with the exhaustive
+    # find_region scan; locating them with classify must not move them
+    orders = [[int(v) for v in key.split("-")] for key in counts]
+    assert conjecture_probe(g, 200, seed).to_json_dict() == {
+        "graph": g.to_json_dict(),
+        "extensions": orders,
+        "realized": [o for o, c in zip(orders, counts.values()) if c],
+        "missing": [o for o, c in zip(orders, counts.values()) if not c],
+        "counts": counts,
+        "samples": samples,
+        "hits": sum(counts.values()),
+        "skipped": 0,
+        "seed": seed,
+        "method": "stationary-phases",
+        "rng": "numpy-pcg64",
+        "covered": all(counts.values()),
+    }

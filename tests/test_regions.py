@@ -2,9 +2,12 @@ import random
 from fractions import Fraction as F
 from math import prod
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_rational_params
+from liquidbin import combinatorics, regions
 from liquidbin.combinatorics import (
     DCGraph,
     b_map,
@@ -12,6 +15,7 @@ from liquidbin.combinatorics import (
     enumerate_dc,
     graph_index,
 )
+from liquidbin.cyclic import sample_params
 from liquidbin.params import Params, ParamsError
 from liquidbin.regions import (
     SweepGrid,
@@ -494,7 +498,7 @@ def test_scan_without_the_true_region_reports_least_violation():
     graphs = enumerate_dc(3)
     assert graphs[1] == L(3) and in_region(L(3), params)
     assert graphs[3] == DCGraph(3, frozenset({(2, 3)}))
-    candidates = [(i, g) for i, g in enumerate(graphs) if i != 1]
+    candidates = [g for i, g in enumerate(graphs) if i != 1]
     for order in (candidates, candidates[::-1]):
         report = _scan(order, params, 0)
         assert report.graph == K(3)
@@ -511,3 +515,71 @@ def test_exactly_one_region_verifies():
         params = random_rational_params(rng, rng.randint(1, 4))
         verifying = [g for g in enumerate_dc(params.n) if in_region(g, params)]
         assert len(verifying) == 1
+
+
+def test_exact_classify_at_n12_never_enumerates(monkeypatch):
+    # C_12 = 208,012 graphs: a generic point must be located by the walk
+    # and confirmed on its proposal, with no Catalan-sized list built
+    def refuse(n):
+        raise AssertionError(f"enumerate_dc({n}) built")
+
+    monkeypatch.setattr(regions, "enumerate_dc", refuse)
+    monkeypatch.setattr(combinatorics, "enumerate_dc", refuse)
+    params = random_rational_params(random.Random(1), 12)
+    report = classify(params)
+    assert report.verified and not report.ambiguous
+    assert in_region(report.graph, params, report.z)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-2])
+def test_classify_agrees_with_find_region_on_sampled_points(tol):
+    # conjecture_probe counts a sample for the graph classify reports when
+    # it is unambiguous, where the exhaustive scan finds a graph without
+    # wall flags; the two must be the same event
+    rng = np.random.default_rng(2024)
+    for n in range(2, 7):
+        for _ in range(40):
+            params = sample_params(rng, n)
+            report = classify(params, tol=tol)
+            found = find_region(params, tol=tol)
+            clean = found is not None and not found[1]
+            assert (not report.ambiguous) == clean
+            if clean:
+                assert report.graph == found[0]
+
+
+RATIONALS = st.builds(F, st.integers(1, 100), st.integers(1, 100))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(RATIONALS, min_size=n, max_size=n), st.lists(RATIONALS, min_size=n, max_size=n)
+)))
+def test_float_classify_away_from_walls_matches_exact(gaps_rates):
+    # an unambiguous float report is more than a guess: the exact closed
+    # form confirms the same region
+    gaps, rates = gaps_rates
+    a = tuple(sum(gaps[:k + 1]) for k in range(len(gaps)))
+    params = Params(a, tuple(rates))
+    fl = classify(params.as_float())
+    if not fl.ambiguous:
+        exact = classify(params)
+        assert exact.verified and not exact.ambiguous
+        assert exact.graph == fl.graph
+
+
+def test_classify_z_is_the_reported_graphs_solution_near_walls():
+    # within tol of a wall the walk can end on a graph other than the one
+    # reported; the walk's solution may stand in only for its own graph
+    rng = random.Random(3)
+    elsewhere = 0
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        a = [rng.randint(1, 3) for _ in range(n)]
+        a = [sum(a[:k + 1]) * (1 + 1e-11 * rng.uniform(-1, 1)) for k in range(n)]
+        params = Params(tuple(a),
+                        tuple(float(rng.randint(1, 3)) for _ in range(n)))
+        report = classify(params)
+        elsewhere += regions._walk(params)[0] != report.graph
+        assert report.z == solve_system(report.graph, params)
+    assert elsewhere
