@@ -85,10 +85,11 @@ def _cmd_simulate(args) -> int:
     bins_obj = obj.get("bins")
     if not isinstance(bins_obj, dict):
         raise ParamsError('params file needs a "bins" object {"front": int, "volumes": [...]}')
-    volumes = tuple(
-        parse_number(str(v), args.exact) for v in bins_obj["volumes"]
-    )
-    x0 = BinConfig(front=int(bins_obj["front"]), volumes=volumes)
+    try:
+        volumes = tuple(parse_number(str(v), args.exact) for v in bins_obj["volumes"])
+        x0 = BinConfig(front=int(bins_obj["front"]), volumes=volumes)
+    except (KeyError, TypeError) as exc:
+        raise ParamsError(f'bad "bins" object: {bins_obj!r}') from exc
     t = parse_number(args.t, args.exact)
     x1, log = evolve_bins(x0, params, t)
     if args.trace:

@@ -64,7 +64,10 @@ class DCGraph:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DCGraph":
-        return cls(int(obj["n"]), frozenset((int(i), int(j)) for i, j in obj["edges"]))
+        try:
+            return cls(int(obj["n"]), frozenset((int(i), int(j)) for i, j in obj["edges"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"bad graph object: {obj!r}") from exc
 
     @classmethod
     def complete(cls, n: int) -> "DCGraph":

@@ -178,6 +178,36 @@ def test_extensions_command(tmp_path, capsys):
     assert payload["chains"] == [[2, 1, 3]]
 
 
+@pytest.mark.parametrize(
+    "argv, obj",
+    [
+        (["extensions", "--graph"], {"n": 3}),
+        (["extensions", "--graph"], {"edges": [[1, 2]]}),
+        (["extensions", "--graph"], [1, 2]),
+        (["simulate", "--t", "1", "--params"], {"a": [1, 2], "p": [1, 1], "bins": {"front": 2}}),
+        (["simulate", "--t", "1", "--params"],
+         {"a": [1, 2], "p": [1, 1], "bins": {"front": 2, "volumes": 5}}),
+    ],
+    ids=["graph-without-edges", "graph-without-n", "graph-not-object", "bins-without-volumes",
+         "bins-volumes-not-list"],
+)
+def test_malformed_input_file_reported(tmp_path, capsys, argv, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and "bad" in err
+
+
+def test_conjecture_negative_budget_rejected(capsys):
+    code, out, err = run_cli(capsys, "conjecture", "--n", "3", "--budget", "-3")
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and "budget" in err
+    code, out, _ = run_cli(capsys, "conjecture", "--n", "3", "--budget", "0")
+    assert code == EXIT_OK
+    assert [g["samples"] for g in json.loads(out)["graphs"]] == [0, 0]
+
+
 def test_conjecture_command(tmp_path, capsys):
     report_file = tmp_path / "report.json"
     code, out, _ = run_cli(

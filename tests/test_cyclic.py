@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_rational_params
 from liquidbin.combinatorics import DCGraph, connected_component_of_one, enumerate_dc
@@ -26,8 +27,8 @@ FIG1 = Params((F(3, 2), F(5, 2)), (F(1, 2), F(3, 2)))
 K = DCGraph.complete
 L = DCGraph.line
 
-# fiber sizes of the line graphs follow the zigzag numbers 1, 1, 2, 5, 16, 61
-ZIGZAG = {2: 1, 3: 1, 4: 2, 5: 5, 6: 16, 7: 61}
+# fiber sizes of the line graphs follow the zigzag numbers 1, 1, 2, 5, 16, 61, ...
+ZIGZAG = {2: 1, 3: 1, 4: 2, 5: 5, 6: 16, 7: 61, 8: 272, 9: 1385}
 
 
 def test_cyclic_order_canonical_rotation():
@@ -116,12 +117,27 @@ def test_extension_guard_on_large_n():
 
 
 def test_dual_filters_agree():
-    # circular_extensions raises internally if the chain filter and the
-    # f_map fiber ever part ways; sweep every connected graph
-    for n in range(2, 7):
+    # the chain-constrained insertion of circular_extensions against the
+    # f_map fiber over all (n-1)! orders, order included, for every
+    # connected graph; every order lies in the fiber of some such graph
+    for n in range(2, 9):
+        fibers = {}
+        for z in all_cyclic_orders(n):
+            fibers.setdefault(f_map(z), []).append(z)
         for g in enumerate_dc(n):
             if connected_component_of_one(g).n == n:
-                circular_extensions(g)
+                assert circular_extensions(g) == tuple(fibers.pop(g, ()))
+        assert not fibers
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.permutations(range(2, 10)))
+def test_extensions_are_the_fiber_at_n9(tail):
+    z = CyclicOrder((1, *tail))
+    g = f_map(z)
+    exts = circular_extensions(g)
+    assert z in exts
+    assert all(f_map(e) == g for e in exts)
 
 
 def test_jump_order_examples():
