@@ -59,6 +59,7 @@ from .stationary import (
     canonical_configuration,
     convergence_trace,
     fixed_point_solve,
+    stationary_profile,
     verify_stationarity,
 )
 from .cyclic import (

@@ -28,7 +28,7 @@ from .ibm import hydrolimit_check
 from ._parallel import parallel_map, spawn_seeds
 from .params import Params, ParamsError, format_number, parse_number
 from .regions import SweepGrid, classify, sweep
-from .stationary import ConvergenceError, fixed_point_solve
+from .stationary import stationary_profile
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -51,12 +51,14 @@ def _emit(obj) -> None:
     print(json.dumps(_jsonify(obj)))
 
 
-def _add_params_args(sp: argparse.ArgumentParser, tol_default: float) -> None:
+def _add_params_args(
+    sp: argparse.ArgumentParser, tol_default: float, tol_help: str = "relative tolerance (float mode)"
+) -> None:
     sp.add_argument("--a", required=True, help="comma-separated thresholds, e.g. 1.5,2.5")
     sp.add_argument("--p", required=True, help="comma-separated rates, e.g. 0.5,1.5")
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true", help="exact rational arithmetic")
-    group.add_argument("--tol", type=float, default=tol_default, help="relative tolerance (float mode)")
+    group.add_argument("--tol", type=float, default=tol_default, help=tol_help)
 
 
 def _params_from(args) -> Params:
@@ -86,6 +88,8 @@ def _cmd_simulate(args) -> int:
     if not isinstance(bins_obj, dict):
         raise ParamsError('params file needs a "bins" object {"front": int, "volumes": [...]}')
     try:
+        if not isinstance(bins_obj["volumes"], list):
+            raise TypeError("volumes must be a list")
         volumes = tuple(parse_number(str(v), args.exact) for v in bins_obj["volumes"])
         x0 = BinConfig(front=int(bins_obj["front"]), volumes=volumes)
     except (KeyError, TypeError) as exc:
@@ -104,27 +108,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_speed(args) -> int:
     params = _params_from(args)
-    if args.exact:
-        report = classify(params)
-        # closed form, no iteration: exact, so the certified error is 0
-        _emit(
-            {
-                "z": list(report.z),
-                "speed": report.speed,
-                "iterations": None,
-                "certified_error": Fraction(0),
-            }
-        )
-        return EXIT_OK
-    rep = fixed_point_solve(params, args.tol)
-    _emit(
-        {
-            "z": list(rep.profile.z),
-            "speed": rep.profile.speed,
-            "iterations": rep.iterations,
-            "certified_error": rep.certified_error,
-        }
-    )
+    if not args.tol > 0:
+        raise ValueError("tolerance must be positive")
+    profile, error = stationary_profile(params)  # closed form, no iteration
+    if error > args.tol:
+        raise ValueError(f"certified error {float(error):.3g} exceeds --tol {args.tol:g}")
+    _emit({"z": list(profile.z), "speed": profile.speed, "iterations": None, "certified_error": error})
     return EXIT_OK
 
 
@@ -318,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_simulate)
 
     sp = sub.add_parser("speed", help="stationary sojourn vector and front speed")
-    _add_params_args(sp, tol_default=1e-12)
+    _add_params_args(sp, tol_default=1e-12,
+                     tol_help="bound on the absolute error of the breakpoint times (float mode)")
     sp.set_defaults(fn=_cmd_speed)
 
     sp = sub.add_parser("classify", help="region of the parameters")
@@ -386,7 +376,7 @@ def run(argv: list[str]) -> int:
     except WallTieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT if getattr(args, "exact", False) else EXIT_WALL
-    except (ParamsError, DisconnectedRegionError, ConvergenceError, ValueError, OSError) as exc:
+    except (ParamsError, DisconnectedRegionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -53,21 +53,28 @@ class DCGraph:
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
 
+    # edges go in sorted, as in dyck_to_dc, so a graph prints the same
+    # (frozenset order) whichever way it was reached
     def with_edge(self, e: Edge) -> "DCGraph":
-        return DCGraph(self.n, self.edges | {e})
+        return DCGraph(self.n, frozenset(sorted(self.edges | {e})))
 
     def without_edge(self, e: Edge) -> "DCGraph":
-        return DCGraph(self.n, self.edges - {e})
+        return DCGraph(self.n, frozenset(sorted(self.edges - {e})))
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.sorted_edges]}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DCGraph":
-        try:
-            return cls(int(obj["n"]), frozenset((int(i), int(j)) for i, j in obj["edges"]))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"bad graph object: {obj!r}") from exc
+        """Read {"n": int, "edges": [[i, j], ...]}; anything else, a float n
+        or a string edge included, raises ValueError instead of coercing."""
+        def is_int(x) -> bool:
+            return isinstance(x, int) and not isinstance(x, bool)
+
+        if not (isinstance(obj, dict) and is_int(obj.get("n")) and isinstance(obj.get("edges"), list)
+                and all(isinstance(e, list) and len(e) == 2 and all(map(is_int, e)) for e in obj["edges"])):
+            raise ValueError(f"bad graph object: {obj!r}")
+        return cls(obj["n"], frozenset(tuple(e) for e in obj["edges"]))
 
     @classmethod
     def complete(cls, n: int) -> "DCGraph":

@@ -115,10 +115,14 @@ def zprime_chains(g: DCGraph) -> tuple[ChainConstraint, ...]:
     For every vertex i with farthest neighbour j = b(i): the run
     (i, i+1, ..., j), the stop (j, i, j+1) forcing j+1 to fall outside
     i's window, and the wedge (i, i-1, j) when vertex i-1 does not reach
-    j.  On a maximal edge these are the familiar three tuples; emitting
-    them for every vertex (not only maximal edges) is what makes the
-    circular extensions coincide exactly with the fiber of f_map, which
-    the tests check.  Vacuous or out-of-range tuples are dropped.
+    j.  On a maximal edge these are the familiar three tuples.  The runs
+    and stops, emitted for every vertex, already make the circular
+    extensions coincide with the fiber of f_map, which the tests check;
+    the wedges are redundant for the extension set at every N up to the
+    extension cap (dropping them changes no extension of any connected
+    graph there).  They stay as the third chain family of the partial
+    cyclic order, which the `extensions` command prints.  Vacuous or
+    out-of-range tuples are dropped.
     """
     _require_connected(g)
     out: list[ChainConstraint] = []

@@ -7,6 +7,7 @@ cumulative rates q_i = p_1 + ... + p_i.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -68,6 +69,9 @@ class Params:
             raise ParamsError(
                 f"need N >= 1 thresholds and as many rates, got {len(self.a)} and {len(self.p)}"
             )
+        for x in self.a + self.p:
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ParamsError(f"parameters must be finite, got {x}")
         prev = 0
         for i, ai in enumerate(self.a):
             if not ai > prev:

@@ -233,13 +233,29 @@ def find_region(params: Params, tol: Number = 0) -> tuple[DCGraph, frozenset[Edg
     return (report.graph, report.boundary_flags) if report.verified else None
 
 
+def _toggles(g: DCGraph) -> Iterator[DCGraph]:
+    """The graphs one edge from g: a maximal edge removed or an addable
+    pair added (any other single toggle breaks downward closure)."""
+    yield from (g.without_edge(e) for e in maximal_edges(g))
+    yield from (g.with_edge(e) for e in addable_edges(g))
+
+
 def _proposal_first(proposal: DCGraph) -> Iterator[DCGraph]:
     """The proposal, then the other graphs by edge-set distance from it,
-    equal distances in canonical order (the sort is stable); the sort runs
-    only if the proposal fails."""
+    equal distances in canonical order.
+
+    Each layer is built only once the previous one has failed.  Distances
+    1 and 2 come from one and two toggles (every graph two edges away is
+    reached through a graph one edge away), so a near-wall point costs no
+    Catalan-sized work; the rest is the stable sort of the enumeration.
+    """
     yield proposal
-    ranked = sorted(enumerate_dc(proposal.n), key=lambda g: len(g.edges ^ proposal.edges))
-    yield from ranked[1:]  # ranked[0] is the proposal, at distance 0
+    near = set(_toggles(proposal))
+    yield from sorted(near, key=graph_index)
+    # a toggle changes the distance by one: toggles of `near` are at 0 or 2
+    yield from sorted({h for g in near for h in _toggles(g)} - {proposal}, key=graph_index)
+    far = (g for g in enumerate_dc(proposal.n) if len(g.edges ^ proposal.edges) > 2)
+    yield from sorted(far, key=lambda g: len(g.edges ^ proposal.edges))
 
 
 def _gap_edges(z: Sequence[Number], margin: Number) -> frozenset[Edge]:

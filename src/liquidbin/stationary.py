@@ -1,4 +1,5 @@
-"""Stationary regime of the car model via certified contraction iteration.
+"""Stationary regime of the car model: the closed-form profile, with the
+certified contraction iteration kept as an independent cross-check.
 
 A car trajectory is encoded by its breakpoint times s = (t(a_1), ...,
 t(a_N)): the follower of a car with breakpoints s drives the piecewise
@@ -6,6 +7,8 @@ linear path y(t) = sum_j p_j (t - s_j + s_1)_+, and the map sending s to
 the follower's breakpoint times contracts the sup norm by a factor of at
 most lambda = 1 - q_1/q_N.  Its unique fixed point is the traveling-wave
 profile; the first breakpoint is the period, its inverse the front speed.
+The profile is also the closed form of the region holding the parameters
+(regions.classify), which stationary_profile serves to every caller here.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ from fractions import Fraction
 from .combinatorics import DCGraph, b_map
 from .dynamics import CarConfig, _CarSim, step_cars
 from .params import Number, Params
+from .regions import classify
 
 
 class ConvergenceError(RuntimeError):
@@ -174,6 +178,26 @@ def fixed_point_solve(
             )
 
 
+def stationary_profile(params: Params) -> tuple[StationaryProfile, Number]:
+    """The stationary profile from the closed form of the region holding
+    the parameters, with a certified bound on its breakpoint times.
+
+    The point is classified exactly, float input at its binary value, so
+    no iteration can stall.  Exact input gives the exact profile and bound
+    0.  Float input gets each z_i rounded once; the bound is the exact sup
+    distance between the partial sums of the rounded z and the true
+    breakpoint times, rounded up.
+    """
+    exact = StationaryProfile(classify(params.as_exact(), tol=0).z)
+    if params.is_exact:
+        return exact, Fraction(0)
+    profile = StationaryProfile(tuple(float(zi) for zi in exact.z))
+    rounded = StationaryProfile(tuple(Fraction(zi) for zi in profile.z)).breakpoint_times
+    error = max(abs(s - t) for s, t in zip(rounded, exact.breakpoint_times))
+    bound = float(error)
+    return profile, bound if bound >= error else math.nextafter(bound, math.inf)
+
+
 def _profile_from(s: tuple[Number, ...]) -> StationaryProfile:
     z = [s[0]]
     for i in range(1, len(s)):
@@ -214,10 +238,11 @@ def canonical_configuration(profile: StationaryProfile, params: Params) -> CarCo
 def verify_stationarity(
     y: CarConfig, params: Params, tol: Number, period: Number | None = None
 ) -> bool:
-    """Advance by one period and test the one-index shift: the windowed
-    position multiset must be unchanged up to tol (0 in rational mode)."""
+    """Advance by one period (by default the closed-form one) and test
+    the one-index shift: the windowed position multiset must be unchanged
+    up to tol (0 in rational mode)."""
     if period is None:
-        period = fixed_point_solve(params, tol if tol > 0 else Fraction(1, 10**12)).profile.period
+        period = stationary_profile(params)[0].period
     after, _ = step_cars(y, params, period)
     if len(after.positions) != len(y.positions):
         return False
@@ -228,13 +253,14 @@ def convergence_trace(
     y0: CarConfig, params: Params, k_max: int, profile: StationaryProfile | None = None
 ) -> list[Number]:
     """Sup distances between the shifted trajectories of the successive
-    cars starting from 0 and the stationary profile.
+    cars starting from 0 and the stationary profile (by default the
+    closed-form one).
 
     Distances are evaluated on the union of breakpoints, which is exact
     for piecewise-linear paths sharing the final slope q_N.
     """
     if profile is None:
-        profile = fixed_point_solve(params.as_float() if not params.is_exact else params, 1e-12).profile
+        profile = stationary_profile(params)[0]
     stationary_traj = Trajectory(params, profile.breakpoint_times)
     m = len(y0.positions)
     q1, a1, aN = params.q[1], params.a[0], params.a[-1]

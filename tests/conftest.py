@@ -4,8 +4,21 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
+from liquidbin import combinatorics, regions
 from liquidbin.dynamics import BinConfig
 from liquidbin.params import Params
+
+
+@pytest.fixture
+def forbid_enumeration(monkeypatch):
+    """Fail the test if it builds the Catalan-sized list of all graphs."""
+    def refuse(n):
+        raise AssertionError(f"enumerate_dc({n}) built")
+
+    monkeypatch.setattr(regions, "enumerate_dc", refuse)
+    monkeypatch.setattr(combinatorics, "enumerate_dc", refuse)
 
 
 def random_rational_params(
@@ -33,6 +46,22 @@ def random_mild_params(rng: random.Random, n: int) -> Params:
     rest = [Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(n - 1)]
     p1 = sum(rest, Fraction(0)) / 3 + Fraction(rng.randint(1, 4), rng.randint(1, 3))
     return Params(tuple(a), (p1, *rest))
+
+
+def tied_phase_thresholds(rng: random.Random, n: int) -> tuple[int, ...]:
+    """Integer thresholds of an exact wall point for unit rates.
+
+    Cursors get random phases in [0, n), period n; the breakpoint times
+    step by the phase differences, a tied phase by a full period (which
+    puts the point on the wall of that edge).  The stationarity relations
+    a_i = sum_j (S_i - S_j + S_1)_+ give the thresholds, and uniqueness of
+    the stationary profile makes S the profile of the point.
+    """
+    phases = [rng.randrange(n) for _ in range(n)]
+    s = [n]
+    for i in range(1, n):
+        s.append(s[-1] + ((phases[i] - phases[i - 1]) % n or n))
+    return tuple(sum(max(si - sj + s[0], 0) for sj in s) for si in s)
 
 
 def random_bin_config(rng: random.Random, params: Params) -> BinConfig:

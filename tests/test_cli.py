@@ -1,9 +1,14 @@
 import csv
 import json
+from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from liquidbin.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_WALL, run
+from liquidbin.cyclic import sample_params
+from liquidbin.regions import classify
+from liquidbin.stationary import StationaryProfile
 
 
 def run_cli(capsys, *argv):
@@ -36,8 +41,59 @@ def test_speed_float(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert abs(payload["z"][0] - 1.125) < 1e-11
-    assert payload["iterations"] >= 1
+    assert payload["iterations"] is None
     assert payload["certified_error"] <= 1e-12
+    # the inputs are binary fractions: the closed form is exact in float
+    assert payload["z"][0] == 1.125
+    assert payload["certified_error"] == 0.0
+
+
+def test_speed_float_where_the_iteration_stalls(capsys):
+    # q_1/q_N = 1e-6: the closed form answers where iterating would stall
+    code, out, _ = run_cli(capsys, "speed", "--a", "1,2,3", "--p", "0.000001,1,1")
+    assert code == EXIT_OK
+    speed = json.loads(out)["speed"]
+    exact = F(1333334666667, 1666667000000)
+    assert abs(F(speed) - exact) <= F(1, 10**15) * exact
+
+
+def test_speed_float_certificate_covers_the_exact_error(capsys):
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 5, 8):
+        for _ in range(10):
+            params = sample_params(rng, n)
+            code, out, _ = run_cli(capsys, "speed", "--a", ",".join(map(repr, params.a)),
+                                   "--p", ",".join(map(repr, params.p)))
+            assert code == EXIT_OK
+            payload = json.loads(out)
+            exact = StationaryProfile(classify(params.as_exact()).z).breakpoint_times
+            printed = StationaryProfile(tuple(F(z) for z in payload["z"])).breakpoint_times
+            assert payload["certified_error"] >= max(abs(s - t) for s, t in zip(printed, exact))
+
+
+def test_speed_float_certificate_above_tol_exits_2(capsys):
+    # breakpoint times near 2e5 cannot be carried in floats to 1e-12
+    code, out, err = run_cli(capsys, "speed", "--a", "1e5,3e5", "--p", "0.3,0.7")
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and "certified error" in err
+    code, out, _ = run_cli(capsys, "speed", "--a", "1e5,3e5", "--p", "0.3,0.7", "--tol", "1e-9")
+    assert code == EXIT_OK
+    assert json.loads(out)["certified_error"] <= 1e-9
+
+
+@pytest.mark.parametrize("tol", ["0", "nan"])
+def test_speed_tolerance_must_be_positive(capsys, tol):
+    code, out, err = run_cli(capsys, "speed", "--a", "1,2", "--p", "1,1", "--tol", tol)
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and "tolerance must be positive" in err
+
+
+@pytest.mark.parametrize("argv", [["speed", "--a", "1,inf", "--p", "1,1"],
+                                  ["classify", "--a", "1,2", "--p", "1,nan"]])
+def test_non_finite_parameters_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and "finite" in err
 
 
 def test_speed_accepts_rational_tokens(capsys):
@@ -187,9 +243,18 @@ def test_extensions_command(tmp_path, capsys):
         (["simulate", "--t", "1", "--params"], {"a": [1, 2], "p": [1, 1], "bins": {"front": 2}}),
         (["simulate", "--t", "1", "--params"],
          {"a": [1, 2], "p": [1, 1], "bins": {"front": 2, "volumes": 5}}),
+        (["simulate", "--t", "1", "--params"],
+         {"a": [1, 2], "p": [1, 1], "bins": {"front": 2, "volumes": "35"}}),
+        (["extensions", "--graph"], {"n": 3.9, "edges": [["1", "2"], "23"]}),
+        (["extensions", "--graph"], {"n": 3.9, "edges": []}),
+        (["extensions", "--graph"], {"n": True, "edges": []}),
+        (["extensions", "--graph"], {"n": 3, "edges": [["1", "2"]]}),
+        (["extensions", "--graph"], {"n": 3, "edges": ["23"]}),
+        (["extensions", "--graph"], {"n": 3, "edges": [[1, 2, 3]]}),
     ],
     ids=["graph-without-edges", "graph-without-n", "graph-not-object", "bins-without-volumes",
-         "bins-volumes-not-list"],
+         "bins-volumes-not-list", "bins-volumes-string", "graph-coerced", "graph-float-n",
+         "graph-bool-n", "graph-string-vertex", "graph-string-edge", "graph-three-vertex-edge"],
 )
 def test_malformed_input_file_reported(tmp_path, capsys, argv, obj):
     path = tmp_path / "input.json"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -131,3 +132,17 @@ def test_hydrolimit_parallel_matches_serial():
     parallel = hydrolimit_check(FIG1, [20, 50], steps=5000, seed=5, jobs=2)
     assert [r.v_hat for r in serial.rows] == [r.v_hat for r in parallel.rows]
     assert [r.seed for r in serial.rows] == [r.seed for r in parallel.rows]
+
+
+def test_simulate_ibm_memory_stays_bounded():
+    # the chain runs batch by batch: nothing the size of the step count is
+    # kept (a whole-run move array would take about 8 MB here)
+    dist = MoveDistribution((1, 2, 3), (0.2, 0.3, 0.5))
+    simulate_ibm(dist, 1000, seed=0)  # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        simulate_ibm(dist, 10**6, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_rational_params
-from liquidbin import combinatorics, regions
+from conftest import random_rational_params, tied_phase_thresholds
+from liquidbin import regions
 from liquidbin.combinatorics import (
     DCGraph,
     b_map,
@@ -517,16 +517,60 @@ def test_exactly_one_region_verifies():
         assert len(verifying) == 1
 
 
-def test_exact_classify_at_n12_never_enumerates(monkeypatch):
+def test_exact_classify_at_n12_never_enumerates(forbid_enumeration):
     # C_12 = 208,012 graphs: a generic point must be located by the walk
     # and confirmed on its proposal, with no Catalan-sized list built
-    def refuse(n):
-        raise AssertionError(f"enumerate_dc({n}) built")
-
-    monkeypatch.setattr(regions, "enumerate_dc", refuse)
-    monkeypatch.setattr(combinatorics, "enumerate_dc", refuse)
     params = random_rational_params(random.Random(1), 12)
     report = classify(params)
+    assert report.verified and not report.ambiguous
+    assert in_region(report.graph, params, report.z)
+
+
+def _decimal_near_wall(rng: random.Random, n: int) -> Params:
+    # a wall point scaled by 0.1 and written in decimals: the binary values
+    # of the decimals lie a rounding error off the wall, on either side
+    a = tied_phase_thresholds(rng, n)
+    return Params(tuple(float(f"{x / 10}") for x in a), (0.1,) * n).as_exact()
+
+
+def _proposal(params: Params) -> DCGraph:
+    # the graph classify tries first at tol 0
+    _, z = regions._walk(params.as_float())
+    return DCGraph(params.n, regions._gap_edges(z, 1e-12 * z[0]))
+
+
+def test_proposal_layers_follow_the_distance_sort():
+    # the toggle layers at distances 1 and 2, then the sort of the rest,
+    # give exactly the stable sort of the enumeration by distance
+    for n in range(1, 7):
+        graphs = enumerate_dc(n)
+        for proposal in graphs:
+            ranked = sorted(graphs, key=lambda g: len(g.edges ^ proposal.edges))
+            assert list(regions._proposal_first(proposal)) == ranked
+
+
+def test_exact_classify_of_decimal_near_wall_points():
+    # the proposal often misses these points; the exact scan still finds
+    # the one region that holds them
+    rng = random.Random(5)
+    missed = 0
+    for n in range(3, 7):
+        for _ in range(10):
+            params = _decimal_near_wall(rng, n)
+            report = classify(params, tol=0)
+            missed += report.graph != _proposal(params)
+            assert report.verified and not report.ambiguous
+            assert find_region(params) == (report.graph, report.boundary_flags)
+    assert missed
+
+
+@pytest.mark.parametrize("seed, distance", [(1, 1), (15, 2)])
+def test_exact_classify_near_wall_at_n12_never_enumerates(forbid_enumeration, seed, distance):
+    # a region one or two edge toggles from the proposal is found in the
+    # toggle layers, before any Catalan-sized sort
+    params = _decimal_near_wall(random.Random(seed), 12)
+    report = classify(params, tol=0)
+    assert len(report.graph.edges ^ _proposal(params).edges) == distance
     assert report.verified and not report.ambiguous
     assert in_region(report.graph, params, report.z)
 

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from conftest import random_mild_params, random_rational_params
 from liquidbin.combinatorics import DCGraph
+from liquidbin.cyclic import sample_params
 from liquidbin.dynamics import CarConfig, sigma, step_cars
 from liquidbin.params import Params
 from liquidbin.regions import classify, solve_system
@@ -18,6 +20,7 @@ from liquidbin.stationary import (
     fixed_point_solve,
     iterate_breakpoints,
     stationarity_residual,
+    stationary_profile,
     verify_stationarity,
 )
 
@@ -175,6 +178,40 @@ def test_verify_stationarity_computes_period_when_omitted():
     assert verify_stationarity(y0, FIG1.as_float(), 1e-9)
 
 
+def test_verify_stationarity_finds_the_exact_period_itself():
+    # with no period given, the exact closed-form period is used, so an
+    # exact stationary configuration passes at tol 0
+    params = Params((F(1), F(11, 5), F(17, 5)), (F(1), F(1), F(1)))
+    y0 = canonical_configuration(stationary_profile(params)[0], params)
+    assert verify_stationarity(y0, params, 0)
+
+
+def test_stationary_profile_is_the_closed_form():
+    rng = random.Random(23)
+    for _ in range(20):
+        params = random_rational_params(rng, rng.randint(1, 5))
+        profile, bound = stationary_profile(params)
+        assert profile.z == classify(params).z
+        assert bound == 0 and isinstance(bound, F)
+
+
+def test_stationary_profile_float_is_rounded_once_and_certified():
+    # float input is solved exactly at its binary value: each z_i is the
+    # nearest float to the exact one, and the bound covers the exact sup
+    # distance of the breakpoint times
+    rng = np.random.default_rng(29)
+    for n in (2, 4, 7):
+        for _ in range(15):
+            params = sample_params(rng, n)
+            exact = StationaryProfile(classify(params.as_exact()).z)
+            profile, bound = stationary_profile(params)
+            assert profile.z == tuple(float(zi) for zi in exact.z)
+            rounded = StationaryProfile(tuple(F(zi) for zi in profile.z)).breakpoint_times
+            assert isinstance(bound, float)
+            assert bound >= max(abs(s - t) for s, t in zip(rounded, exact.breakpoint_times))
+            assert bound <= 1e-15 * float(exact.breakpoint_times[-1])
+
+
 def test_canonical_verifies_for_random_params():
     rng = random.Random(17)
     for _ in range(15):
@@ -188,6 +225,12 @@ def test_convergence_trace_from_canonical_is_zero():
     prof = StationaryProfile(classify(FIG1).z)
     y0 = canonical_configuration(prof, FIG1)
     assert all(d == 0 for d in convergence_trace(y0, FIG1, 5, profile=prof))
+
+
+def test_convergence_trace_defaults_to_the_exact_profile():
+    params = Params((F(1), F(11, 5), F(17, 5)), (F(1), F(1), F(1)))
+    y0 = canonical_configuration(StationaryProfile(classify(params).z), params)
+    assert all(d == 0 for d in convergence_trace(y0, params, 5))
 
 
 def test_convergence_trace_envelope():
