@@ -17,10 +17,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 
 from .params import Number, Params, is_exact_scalar
 
 _REL_TIE = 1e-12
+_SIGN = itemgetter(1)
 
 CURSOR_JUMP = "cursor-jump"
 SIGN_CROSSING = "sign-crossing"
@@ -151,12 +154,16 @@ class _EventSim:
     def next_event(self) -> tuple[Number, list] | None:
         """Time to the earliest pending event and the batch of events tied
         with it: equal in exact mode, within a relative 1e-12 in float."""
-        pending = self._pending()
-        if not pending:
+        times, events = self._pending()
+        if not times:
             return None
-        dt = min(d for d, _ in pending)
+        dt = min(times)
         cutoff = dt if self.exact else dt * (1 + _REL_TIE)
-        return dt, [e for d, e in pending if d <= cutoff]
+        batch = []
+        for d, e in zip(times, events):
+            if d <= cutoff:
+                batch.append(e)
+        return dt, batch
 
     def run(self, duration: Number) -> None:
         """Advance by duration; events landing exactly at the final
@@ -188,36 +195,43 @@ class _CarSim(_EventSim):
         self._next_id = len(self.pos)
         self._respawn_zero()
         self.crossings: list[tuple[Number, int, int]] = []  # (time, sign, car id)
+        self.speeds: list[Number] = []  # of the stored cars, set by _pending
 
-    def _speeds(self) -> list[Number]:
-        v = [self.q[self.n]]
-        for k in range(1, len(self.pos)):
-            v.append(self.q[bisect_right(self.a, self.pos[k - 1])])
-        return v
+    def _pending(self) -> tuple[list[Number], list[tuple[int, int]]]:
+        """Times to the next sign and (car slot, sign) for every car that is
+        heading to a sign.
 
-    def _pending(self) -> list[tuple[Number, tuple[int, int]]]:
-        """(dt, (car slot, sign)) for every car that is heading to a sign."""
-        out = []
-        for k, (x, v) in enumerate(zip(self.pos, self._speeds())):
-            if not v > 0:
-                continue
-            sign = bisect_right(self.a, x) + 1
-            if sign <= self.n:
-                out.append(((self.a[sign - 1] - x) / v, (k, sign)))
-        return out
+        One pass finds each car's sign index and its speed, q at the sign
+        index of the car ahead (q_N for the first).  The speeds are kept
+        for _move: they hold until the next event."""
+        a, q, n = self.a, self.q, self.n
+        times, events = [], []
+        self.speeds = speeds = []
+        ahead = n  # sign index of the car ahead
+        for k, x in enumerate(self.pos):
+            v = q[ahead]
+            speeds.append(v)
+            s = bisect_right(a, x)
+            if s < n and v > 0:
+                times.append((a[s] - x) / v)
+                events.append((k, s + 1))
+            ahead = s
+        return times, events
 
     def _move(self, dt: Number) -> None:
-        for k, v in enumerate(self._speeds()):
-            self.pos[k] = self.pos[k] + v * dt
+        self.pos = [x + v * dt for x, v in zip(self.pos, self.speeds)]
         self._respawn_zero()
 
     def _apply(self, batch: list[tuple[int, int]]) -> None:
-        for (k, sign) in sorted(batch, key=lambda ks: ks[1]):
-            self.pos[k] = self.a[sign - 1]  # snap: exact in rational mode, drift-free in float
+        pos, a = self.pos, self.a
+        for (k, sign) in sorted(batch, key=_SIGN) if len(batch) > 1 else batch:
+            pos[k] = a[sign - 1]  # snap: exact in rational mode, drift-free in float
             self.crossings.append((self.t, sign, self.ids[k]))
-        while self.pos and self.pos[0] >= self.a[-1]:
-            self.pos.pop(0)
-            self.ids.pop(0)
+        if pos[0] >= a[-1]:  # cars that crossed a_N leave, a prefix of pos
+            gone = 1
+            while gone < len(pos) and pos[gone] >= a[-1]:
+                gone += 1
+            del pos[:gone], self.ids[:gone]
 
     def _respawn_zero(self) -> None:
         # the queue at 0 releases its next car once its head has left
@@ -257,51 +271,57 @@ def step_cars(y: CarConfig, params: Params, t: Number) -> tuple[CarConfig, Event
 
 class _BinSim(_EventSim):
     """Mutable bin-model state with explicit cursor bookkeeping.  Only the
-    bins at or right of cursor N are kept: the tails the dynamics reads
-    start right of a cursor, and cursors never move left."""
+    bins from cursor N to the front are kept, in a list from cursor N
+    rightward: the tails the dynamics reads start right of a cursor, and
+    cursors never move left.  The rates depend only on the cursors, so
+    they are recomputed only after cursors jump."""
 
     def __init__(self, x: BinConfig, params: Params):
         super().__init__(params, x.volumes)
         self.p = params.p
         self.front = x.front
         self.c: list[int] = list(cursors(x, params))
-        self.vol: dict[int, Number] = {
-            x.front - i: v for i, v in enumerate(x.volumes) if x.front - i >= self.c[-1]
-        }
+        # vol[k] is bin c_N + k, up to the front
+        self.vol: list[Number] = list(reversed(x.volumes[: x.front - self.c[-1] + 1]))
         self.jumps: list[tuple[Number, int, int]] = []  # (time, cursor, new bin)
+        self._set_rates()
 
-    def _tail(self, m: int) -> Number:
-        return sum(v for k, v in self.vol.items() if k >= m)
+    def _set_rates(self) -> None:
+        # cursors are nonincreasing, so the streams j <= m_i with
+        # c_j >= c_i, which pour at or right of bin c_i + 1, end with the
+        # tie block of cursor i: its rate is q at the end of that block
+        c, q, n = self.c, self.q, self.n
+        self.rates = rates = [q[n]] * n
+        for i in range(n - 2, -1, -1):
+            rates[i] = q[i + 1] if c[i] > c[i + 1] else rates[i + 1]
 
-    def _rates(self) -> list[Number]:
-        # cursors are nonincreasing; streams j <= m_i with c_j >= c_i all
-        # pour at or right of bin c_i + 1
-        out = []
-        for i in range(self.n):
-            m = max(j for j in range(self.n) if self.c[j] >= self.c[i])
-            out.append(self.q[m + 1])
-        return out
-
-    def _pending(self) -> list[tuple[Number, int]]:
-        rates = self._rates()
-        return [((self.a[i] - self._tail(self.c[i] + 1)) / rates[i], i) for i in range(self.n)]
+    def _pending(self) -> tuple[list[Number], range]:
+        # one top-down sweep: tails[j] is the liquid in the top j bins, so
+        # the tail right of cursor i is tails[front - c_i]
+        tails = [0]
+        tails += accumulate(self.vol[:0:-1])
+        front = self.front
+        times = [(ai - tails[front - ci]) / r for ai, ci, r in zip(self.a, self.c, self.rates)]
+        return times, range(self.n)
 
     def _move(self, dt: Number) -> None:
-        for j in range(self.n):
-            target = self.c[j] + 1
-            self.vol[target] = self.vol.get(target, 0 * dt) + self.p[j] * dt
-        self.front = max(self.front, self.c[0] + 1)
+        vol, base = self.vol, self.c[-1]
+        if self.c[0] >= self.front:  # stream 1 starts a new front bin
+            vol.append(0 * dt)
+            self.front = self.c[0] + 1
+        for ci, pj in zip(self.c, self.p):
+            vol[ci + 1 - base] += pj * dt
 
     def _apply(self, batch: list[int]) -> None:
         for i in batch:
             self.c[i] += 1
             self.jumps.append((self.t, i + 1, self.c[i]))
         if self.n - 1 in batch:
-            del self.vol[self.c[-1] - 1]
+            del self.vol[0]
+        self._set_rates()
 
     def to_config(self) -> BinConfig:
-        ks = sorted(self.vol, reverse=True)
-        return BinConfig(self.front, tuple(self.vol[k] for k in ks if self.vol[k] > 0))
+        return BinConfig(self.front, tuple(v for v in reversed(self.vol) if v > 0))
 
     def event_log(self) -> EventLog:
         return tuple(Event(t, CURSOR_JUMP, i, b) for (t, i, b) in self.jumps)

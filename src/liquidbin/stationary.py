@@ -56,6 +56,10 @@ class StationaryProfile:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Result of fixed_point_solve.  certified_error is the a-posteriori
+    estimate diff * lambda / (1 - lambda) of the last step, not a bound on
+    the error of the profile; stationary_profile gives a certified one."""
+
     profile: StationaryProfile
     iterations: int
     certified_error: Number
@@ -140,13 +144,15 @@ def fixed_point_solve(
     params: Params, tol: Number, max_iterations: int | None = None
 ) -> SolveReport:
     """Iterate from the slow bounding profile until the a-posteriori
-    contraction bound certifies sup error at most tol.
+    estimate ||s' - s|| lambda / (1 - lambda), with lambda = 1 - q_1/q_N,
+    is at most tol.
 
-    The stopping rule ||s' - s|| <= tol (1 - lambda)/lambda turns the
-    contraction factor lambda = 1 - q_1/q_N into an error certificate.
-    In floating point a stalled iteration (differences no longer
-    shrinking, the certificate unreachable) raises ConvergenceError
-    rather than reporting a tolerance it cannot honor.
+    The estimate, reported as certified_error, is not a bound: the
+    breakpoint map need not contract the sup norm by lambda, so it can
+    fall below the true error of the returned breakpoint times, even to
+    0.0.  stationary_profile gives a certified bound.  In floating point
+    a stalled iteration (differences no longer shrinking) raises
+    ConvergenceError.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")

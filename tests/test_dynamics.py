@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -169,6 +170,65 @@ def test_coupling_identity_float_tolerance():
         assert all(abs(u - v) < 1e-12 for u, v in zip(lhs, rhs))
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_coupling_identity_float_at_larger_n(n):
+    # the trajectory benchmark's check, at hundreds of events per run
+    for seed in range(6):
+        rng = random.Random(1000 * n + seed)
+        a, acc = [], 0.0
+        for _ in range(n):
+            acc += 0.5 + rng.random()
+            a.append(acc)
+        params = Params(tuple(a), tuple((0.5 + rng.random()) / 5 for _ in range(n)))
+        volumes, total = [], 0.0
+        while total < params.a[-1]:
+            volumes.append(0.2 + 0.8 * rng.random())
+            total += volumes[-1]
+        x = BinConfig(front=rng.randint(-3, 5), volumes=tuple(volumes))
+        xt, bin_log = evolve_bins(x, params, 400.0)
+        yt, car_log = step_cars(sigma(x, params), params, 400.0)
+        assert len(bin_log) >= 500
+        assert [ev.index for ev in bin_log] == [ev.index for ev in car_log]
+        lhs, rhs = sigma(xt, params).positions, yt.positions
+        assert len(lhs) == len(rhs)
+        assert max(abs(u - v) for u, v in zip(lhs, rhs)) <= 1e-9
+
+
+def test_evolve_bins_semigroup():
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        params = random_rational_params(rng, n)
+        x0 = random_bin_config(rng, params)
+        t1, t2 = random_duration(rng, 10), random_duration(rng, 10)
+        one_shot, log = evolve_bins(x0, params, t1 + t2)
+        mid, log1 = evolve_bins(x0, params, t1)
+        two_shot, log2 = evolve_bins(mid, params, t2)
+        assert two_shot.front == one_shot.front
+        assert windowed_volumes(two_shot, params) == windowed_volumes(one_shot, params)
+        assert log == log1 + tuple(replace(ev, time=t1 + ev.time) for ev in log2)
+
+
+def test_bin_pending_times_match_definitions():
+    # cached rates and one-sweep tails against their definitions, exactly:
+    # rate q_{m+1} with m the last stream whose cursor is at or right of c_i
+    from liquidbin.dynamics import _BinSim
+
+    rng = random.Random(47)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        params = random_rational_params(rng, n)
+        sim = _BinSim(random_bin_config(rng, params), params)
+        for _ in range(30):
+            x, c = sim.to_config(), sim.c
+            assert cursors(x, params) == tuple(c)
+            rates = [params.q[max(j for j in range(n) if c[j] >= c[i]) + 1] for i in range(n)]
+            tails = [sum(x.volume_at(k) for k in range(c[i] + 1, x.front + 1)) for i in range(n)]
+            times, _ = sim._pending()
+            assert times == [(params.a[i] - tails[i]) / rates[i] for i in range(n)]
+            sim.run(sim.next_event()[0])
+
+
 def test_cursor_one_jump_gaps_bounded():
     # upper bound a_1/q_1 holds from any start; the lower bound a_1/q_N
     # is a stationary-regime bound (transients can undercut it: N=1,
@@ -255,7 +315,9 @@ def test_car_speeds_never_decrease():
             nxt = sim.next_event()
             if nxt is None or nxt[0] > remaining:
                 break
-            speeds = sim._speeds()
+            # next_event caches the speeds of the current positions
+            speeds = sim.speeds
+            assert len(speeds) == len(sim.ids)
             for cid, v in zip(sim.ids, speeds):
                 rank = list(params.q).index(v)
                 assert seen.get(cid, 0) <= rank
@@ -270,10 +332,16 @@ def test_bin_state_starts_at_cursor_n():
 
     params = Params((1.0, 2.3, 3.1), (0.7, 0.4, 0.9))
     sim = _BinSim(BinConfig(front=4, volumes=(0.5,) * 12), params)
-    assert min(sim.vol) == sim.c[-1]
+
+    def holds_cursor_n_to_front():
+        # vol[k] is bin c_N + k, and the cached cursors are those of the state
+        return (len(sim.vol) == sim.front - sim.c[-1] + 1
+                and cursors(sim.to_config(), params) == tuple(sim.c))
+
+    assert holds_cursor_n_to_front() and len(sim.vol) == 7
     sim.run(400.0)
     assert sum(1 for _, i, _ in sim.jumps if i == params.n) > 100
-    assert min(sim.vol) == sim.c[-1]
+    assert holds_cursor_n_to_front()
 
 
 def test_negative_duration_rejected():
