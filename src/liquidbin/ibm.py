@@ -20,6 +20,8 @@ from .params import Number, Params
 from .regions import classify
 
 RNG_NAME = "numpy-pcg64"
+_BURN_CHUNK = 4096  # the burn-in is drawn in batches of at least this many moves
+_TRIM_LENGTH = 16  # least list length at which a new front bin trims the window's back
 
 
 @dataclass(frozen=True)
@@ -76,32 +78,54 @@ def mu_s(params: Params, s: Number) -> MoveDistribution:
     norm = params.normalized_rates()
     atoms: dict[int, float] = {}
     for ai, pi in zip(norm.a, norm.p):
-        k = math.floor(s * ai)
+        x = s * ai
+        if not x < 2**63:  # moves are drawn as int64; also rejects an infinite scale
+            raise ValueError(f"scale {s} puts an atom at {x}, beyond 64-bit moves")
+        k = math.floor(x)
         atoms[k] = atoms.get(k, 0.0) + float(pi)
     support = tuple(sorted(atoms))
     return MoveDistribution(support, tuple(atoms[k] for k in support))
 
 
+def _trim(counts: list[int], window: int) -> None:
+    """Drop back bins while the rest still holds `window` particles."""
+    total = sum(counts)
+    while total - counts[-1] >= window:
+        total -= counts.pop()
+
+
 def _run_chain(counts: list[int], moves, window: int) -> tuple[list[int], int]:
     """Advance the occupancy by one step per move, keeping at least
     `window` rightmost particles stored; returns the trimmed window and
-    the total front displacement."""
+    the total front displacement.
+
+    The window only grows at the front: a move xi <= window never scans
+    past the first bin, from the front, at which `window` particles are
+    reached, and adds its particle in front of that bin.  So bins behind
+    it are dead weight but never wrong.  The back is trimmed only when a
+    new front bin makes the list longer than twice its length after the
+    last trim (and than `_TRIM_LENGTH`), which costs O(1) per move
+    amortised, and once more on return, which gives exactly the window
+    a trim after every move would.
+    """
     displacement = 0
-    counts_total = sum(counts)
+    limit = max(_TRIM_LENGTH, 2 * len(counts))
     for xi in moves:
-        cum = 0
-        idx = 0
-        while cum + counts[idx] < xi:
-            cum += counts[idx]
-            idx += 1
-        if idx == 0:
+        cum = counts[0]
+        if cum >= xi:  # the xi-th rightmost particle sits in the front bin
             counts.insert(0, 1)
             displacement += 1
-        else:
-            counts[idx - 1] += 1
-        counts_total += 1
-        while counts_total - counts[-1] >= window:
-            counts_total -= counts.pop()
+            if len(counts) > limit:
+                _trim(counts, window)
+                limit = max(_TRIM_LENGTH, 2 * len(counts))
+            continue
+        idx = 1
+        cum += counts[1]
+        while cum < xi:
+            idx += 1
+            cum += counts[idx]
+        counts[idx - 1] += 1
+    _trim(counts, window)
     return counts, displacement
 
 
@@ -123,10 +147,13 @@ def simulate_ibm(dist: MoveDistribution, steps: int, seed: int) -> SimResult:
             return [k] * count
         return support[np.searchsorted(thresholds, rng.random(count), side="right")].tolist()
 
-    counts, _ = _run_chain([k], draw(burn), k)
-
     batches = max(1, math.isqrt(steps))
     batch_len = max(1, steps // batches)
+    counts = [k]
+    chunk = max(batch_len, _BURN_CHUNK)
+    for start in range(0, burn, chunk):
+        counts, _ = _run_chain(counts, draw(min(chunk, burn - start)), k)
+
     marks: list[int] = []  # displacement after each full batch
     displacement = 0
     for start in range(0, steps, batch_len):

@@ -318,6 +318,13 @@ def test_jobs_below_one_rejected(capsys, argv):
     assert out == "" and "jobs" in err
 
 
+@pytest.mark.parametrize("scale", ["inf", "1e19"])
+def test_ibm_scale_beyond_int64_moves_exits_2(capsys, scale):
+    code, out, err = run_cli(capsys, "ibm", "--a", "1.5,2.5", "--p", "0.5,1.5", "--s", scale, "--steps", "10")
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err.startswith("error: scale") and "Traceback" not in err
+
+
 def test_ibm_command(tmp_path, capsys):
     out_path = tmp_path / "hydro.csv"
     code, _, _ = run_cli(

@@ -3,9 +3,11 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liquidbin.ibm import (
     MoveDistribution,
+    _run_chain,
     deterministic_speed,
     hydrolimit_check,
     mu_s,
@@ -15,6 +17,50 @@ from liquidbin.params import Params
 from liquidbin.regions import classify
 
 FIG1 = Params((F(3, 2), F(5, 2)), (F(1, 2), F(3, 2)))
+
+
+def reference_chain(counts, moves, window):
+    """The chain one move at a time, trimming the back after every move."""
+    displacement = 0
+    counts_total = sum(counts)
+    for xi in moves:
+        cum = 0
+        idx = 0
+        while cum + counts[idx] < xi:
+            cum += counts[idx]
+            idx += 1
+        if idx == 0:
+            counts.insert(0, 1)
+            displacement += 1
+        else:
+            counts[idx - 1] += 1
+        counts_total += 1
+        while counts_total - counts[-1] >= window:
+            counts_total -= counts.pop()
+    return counts, displacement
+
+
+@st.composite
+def chain_cases(draw):
+    support = sorted(draw(st.sets(st.integers(1, 12), min_size=1, max_size=4)))
+    window = support[-1]
+    burn = draw(st.lists(st.sampled_from(support), max_size=200))
+    start, _ = reference_chain([window], burn, window)
+    moves = draw(st.lists(st.sampled_from(support), max_size=300))
+    cut = draw(st.integers(0, len(moves)))
+    return start, moves, cut, window
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_cases())
+def test_run_chain_matches_per_move_trim(case):
+    start, moves, cut, window = case
+    expected = reference_chain(list(start), moves, window)
+    assert _run_chain(list(start), moves, window) == expected
+    # split into two calls, as simulate_ibm runs its batches
+    head, moved_head = _run_chain(list(start), moves[:cut], window)
+    tail, moved_tail = _run_chain(head, moves[cut:], window)
+    assert (tail, moved_head + moved_tail) == expected
 
 
 def test_move_distribution_validation():
@@ -43,6 +89,12 @@ def test_mu_s_examples():
 
     with pytest.raises(ValueError):
         mu_s(single, 0.4)
+
+
+@pytest.mark.parametrize("s", [math.inf, 1e19, F(10**19)], ids=["inf", "float-1e19", "exact-1e19"])
+def test_mu_s_rejects_scales_beyond_int64_moves(s):
+    with pytest.raises(ValueError, match="scale"):
+        mu_s(FIG1, s)
 
 
 def test_delta_one_speed_is_one():
@@ -146,3 +198,29 @@ def test_simulate_ibm_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 10**6
+
+
+@pytest.mark.parametrize(
+    "support, weights, steps",
+    [
+        # the 10 * max_move burn-in is drawn in batches too (one array of
+        # it peaked at 4.8 MB)
+        ((5000, 10000), (0.5, 0.5), 1000),
+        # every move opens a front bin: the worst case for a window whose
+        # back is trimmed only as it grows
+        ((1,), (1.0,), 10**6),
+    ],
+    ids=["long-burn-in", "front-every-move"],
+)
+def test_simulate_ibm_memory_bounded_at_the_edges(support, weights, steps):
+    dist = MoveDistribution(support, weights)
+    simulate_ibm(dist, 1000, seed=0)  # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        res = simulate_ibm(dist, steps, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    if support == (1,):
+        assert res.front_displacement == steps
