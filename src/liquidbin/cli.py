@@ -196,21 +196,16 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_adjacency(args) -> int:
     graphs = enumerate_dc(args.n)
-    rows = []
-    for i, g1 in enumerate(graphs):
-        for j in range(i + 1, len(graphs)):
-            adj = regions_adjacent(g1, graphs[j])
-            rows.append(
-                [
-                    i,
-                    dc_to_dyck(g1).word,
-                    j,
-                    dc_to_dyck(graphs[j]).word,
-                    int(adj.adjacent),
-                    adj.codim if adj.codim is not None else "",
-                ]
-            )
-    _write_csv(args.out, ["id1", "dyck1", "id2", "dyck2", "adjacent", "codim"], rows)
+    words = [dc_to_dyck(g).word for g in graphs]
+
+    # C_N (C_N - 1) / 2 rows: streamed to the writer, never held as a list
+    def rows():
+        for i, g1 in enumerate(graphs):
+            for j in range(i + 1, len(graphs)):
+                adj = regions_adjacent(g1, graphs[j])
+                yield [i, words[i], j, words[j], int(adj.adjacent), "" if adj.codim is None else adj.codim]
+
+    _write_csv(args.out, ["id1", "dyck1", "id2", "dyck2", "adjacent", "codim"], rows())
     return EXIT_OK
 
 

@@ -5,12 +5,21 @@ An edge (i, j), i < j, is *nested* in (i', j') when i' <= i < j <= j'.  A
 graph is downward closed (DC) when its edge set is closed under taking
 nested pairs.  DC graphs on n vertices are counted by the Catalan number
 C_n and biject with Dyck words of length 2n.
+
+Region adjacency runs on edge bitmasks: bit k of ``DCGraph.bits`` is the
+pair ``all_pairs(n)[k]``.  The mask is computed on first use and cached on
+the instance, outside the dataclass fields, so equality, hashing, repr and
+JSON are those of the edge set alone.  ``regions_adjacent`` tests the
+antichain condition on the XOR of two masks against per-n tables of strict
+containers; ``is_antichain`` is the plain reference on arbitrary edge sets
+and ``adjacency_mm_condition`` an independent second characterization.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
+from typing import NamedTuple
 
 Edge = tuple[int, int]
 
@@ -41,13 +50,21 @@ class DCGraph:
         for (i, j) in self.edges:
             if not (1 <= i < j <= self.n):
                 raise ValueError(f"edge {(i, j)} outside E_{self.n}")
+        # the two immediate children (i+1, j) and (i, j-1) suffice: every
+        # pair nested in (i, j) is reached from it by such steps
         for (i, j) in self.edges:
-            for i2 in range(i, j):
-                for j2 in range(i2 + 1, j + 1):
-                    if (i2, j2) not in self.edges:
+            if j - i >= 2:
+                for child in ((i + 1, j), (i, j - 1)):
+                    if child not in self.edges:
                         raise ValueError(
-                            f"edge set not downward closed: {(i, j)} present, {(i2, j2)} missing"
+                            f"edge set not downward closed: {(i, j)} present, {child} missing"
                         )
+
+    @cached_property
+    def bits(self) -> int:
+        """Edge bitmask: bit k is set iff all_pairs(n)[k] is an edge."""
+        bit = _layout(self.n).bit
+        return sum(1 << bit[e] for e in self.edges)
 
     @property
     def sorted_edges(self) -> tuple[Edge, ...]:
@@ -277,20 +294,53 @@ class Adjacency:
     codim: int | None = None
 
 
+_NOT_ADJACENT = Adjacency(False, None)
+
+
+class _Layout(NamedTuple):
+    bit: dict[Edge, int]         # pair -> its bit, bit k is all_pairs(n)[k]
+    containers: tuple[int, ...]  # bit k -> mask of the pairs strictly containing pair k
+    adjacent: tuple[Adjacency, ...]  # codim -> the shared Adjacency(True, codim)
+
+
+@lru_cache(maxsize=32)
+def _layout(n: int) -> _Layout:
+    pairs = all_pairs(n)
+    bit = {e: k for k, e in enumerate(pairs)}
+    containers = tuple(
+        sum(1 << bit[(i2, j2)] for i2 in range(1, i + 1) for j2 in range(j, n + 1)) & ~(1 << bit[(i, j)])
+        for (i, j) in pairs
+    )
+    return _Layout(bit, containers, tuple(Adjacency(True, c) for c in range(len(pairs) + 1)))
+
+
 def regions_adjacent(g1: DCGraph, g2: DCGraph) -> Adjacency:
     """Whether the parameter regions of g1 and g2 share boundary points.
 
     Criterion: the symmetric difference of the edge sets is an antichain;
     the shared boundary then has codimension equal to its size.
+
+    Δ is ``g1.bits ^ g2.bits`` (bit k is ``all_pairs(n)[k]``).  Δ is an
+    antichain iff no member's mask of strict containers meets Δ, so the
+    test walks the set bits of Δ and stops at the first one that does:
+    O(|Δ|) integer operations, no set built per pair.  The results are
+    shared frozen instances, one "not adjacent" and one per codimension.
+    ``is_antichain(g1.edges ^ g2.edges)`` is the reference it must match.
     """
     if g1.n != g2.n:
         raise ValueError("graphs must share the vertex count")
-    if g1 == g2:
+    delta = g1.bits ^ g2.bits
+    if not delta:
         raise ValueError("adjacency is defined for distinct graphs")
-    delta = g1.edges ^ g2.edges
-    if is_antichain(delta):
-        return Adjacency(True, len(delta))
-    return Adjacency(False, None)
+    layout = _layout(g1.n)
+    containers = layout.containers
+    rest = delta
+    while rest:
+        low = rest & -rest
+        if containers[low.bit_length() - 1] & delta:
+            return _NOT_ADJACENT
+        rest ^= low
+    return layout.adjacent[delta.bit_count()]
 
 
 def adjacency_mm_condition(g1: DCGraph, g2: DCGraph) -> bool:

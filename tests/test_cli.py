@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from liquidbin.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_WALL, run
+from liquidbin.combinatorics import dc_to_dyck, enumerate_dc, is_antichain
 from liquidbin.cyclic import sample_params
 from liquidbin.regions import classify
 from liquidbin.stationary import StationaryProfile
@@ -150,6 +151,20 @@ def test_adjacency_table(capsys):
     assert len(rows) == 10
     adjacent = [r for r in rows if r["adjacent"] == "1"]
     assert all(r["codim"] for r in adjacent)
+
+
+def test_adjacency_table_matches_pairwise_antichain_reference(capsys):
+    code, out, _ = run_cli(capsys, "adjacency", "--n", "5")
+    assert code == EXIT_OK
+    graphs = enumerate_dc(5)
+    expected = [["id1", "dyck1", "id2", "dyck2", "adjacent", "codim"]]
+    for i, g1 in enumerate(graphs):
+        for j, g2 in enumerate(graphs[i + 1:], i + 1):
+            delta = g1.edges ^ g2.edges
+            adjacent = is_antichain(delta)
+            expected.append([str(i), dc_to_dyck(g1).word, str(j), dc_to_dyck(g2).word,
+                             str(int(adjacent)), str(len(delta)) if adjacent else ""])
+    assert list(csv.reader(out.splitlines())) == expected
 
 
 def test_simulate_roundtrip(tmp_path, capsys):

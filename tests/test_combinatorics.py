@@ -1,7 +1,10 @@
 import json
+import pickle
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liquidbin.combinatorics import (
     Adjacency,
@@ -15,6 +18,7 @@ from liquidbin.combinatorics import (
     connected_component_of_one,
     dc_to_dyck,
     dyck_to_dc,
+    edge_nested,
     enumerate_dc,
     graph_index,
     is_antichain,
@@ -26,21 +30,25 @@ from liquidbin.combinatorics import (
 FIG2 = DCGraph(5, frozenset({(1, 2), (1, 3), (2, 3), (4, 5)}))
 
 
+def nested_pairs_present(edges):
+    """Closure oracle: every pair nested in every edge is an edge."""
+    return all(
+        (i2, j2) in edges
+        for (i, j) in edges
+        for i2 in range(i, j)
+        for j2 in range(i2 + 1, j + 1)
+    )
+
+
+def all_edge_subsets(n):
+    pairs = all_pairs(n)
+    for mask in range(2 ** len(pairs)):
+        yield frozenset(e for k, e in enumerate(pairs) if mask >> k & 1)
+
+
 def brute_force_dc_edge_sets(n):
     """Independent enumeration: filter every subset of E_n for closure."""
-    pairs = all_pairs(n)
-    found = []
-    for mask in range(2 ** len(pairs)):
-        edges = frozenset(e for k, e in enumerate(pairs) if mask >> k & 1)
-        closed = all(
-            (i2, j2) in edges
-            for (i, j) in edges
-            for i2 in range(i, j)
-            for j2 in range(i2 + 1, j + 1)
-        )
-        if closed:
-            found.append(edges)
-    return found
+    return [edges for edges in all_edge_subsets(n) if nested_pairs_present(edges)]
 
 
 def test_counts_match_catalan():
@@ -74,6 +82,24 @@ def test_downward_closure_enforced():
         DCGraph(3, frozenset({(1, 2), (1, 3)}))
     with pytest.raises(ValueError):
         DCGraph(2, frozenset({(2, 1)}))
+
+
+def test_closure_check_matches_nested_pair_oracle():
+    """The two-children check accepts exactly the subsets of E_n (N <= 6,
+    2^15 of them at N = 6) that the all-nested-pairs scan accepts, and a
+    rejection names a present edge and a missing pair nested in it."""
+    message = re.compile(r"edge set not downward closed: \((\d+), (\d+)\) present, \((\d+), (\d+)\) missing")
+    for n in range(1, 7):
+        for edges in all_edge_subsets(n):
+            try:
+                DCGraph(n, edges)
+                accepted = True
+            except ValueError as exc:
+                accepted = False
+                i, j, i2, j2 = map(int, message.fullmatch(str(exc)).groups())
+                assert (i, j) in edges and (i2, j2) not in edges
+                assert edge_nested((i2, j2), (i, j))
+            assert accepted == nested_pairs_present(edges)
 
 
 def test_dyck_word_validation():
@@ -198,14 +224,116 @@ def test_adjacency_examples():
         regions_adjacent(K3, DCGraph.complete(4))
 
 
+def assert_adjacency_matches_references(g1, g2):
+    """The bitmask kernel, both ways round, against the antichain scan on
+    the edge-set symmetric difference and against the m/M condition."""
+    delta = g1.edges ^ g2.edges
+    expected = is_antichain(delta)
+    for a, b in ((g1, g2), (g2, g1)):
+        adj = regions_adjacent(a, b)
+        assert adj.adjacent == expected == adjacency_mm_condition(a, b)
+        assert adj.codim == (len(delta) if expected else None)
+
+
 def test_adjacency_dual_characterizations_agree():
-    for n in range(1, 6):
+    """Every ordered pair of distinct graphs at N <= 7."""
+    for n in range(1, 8):
         graphs = enumerate_dc(n)
-        for g1 in graphs:
-            for g2 in graphs:
-                if g1 == g2:
-                    continue
-                assert regions_adjacent(g1, g2).adjacent == adjacency_mm_condition(g1, g2)
+        for i, g1 in enumerate(graphs):
+            for g2 in graphs[i + 1:]:
+                assert_adjacency_matches_references(g1, g2)
+
+
+def dyck_words(n):
+    """Dyck words of length 2n, one up/down choice per free step."""
+    def build(choices):
+        word, ups, height = [], 0, 0
+        for up in choices:
+            if ups < n and (up or height == 0):
+                word.append("+")
+                ups += 1
+                height += 1
+            else:
+                word.append("-")
+                height -= 1
+        return "".join(word)
+
+    return st.lists(st.booleans(), min_size=2 * n, max_size=2 * n).map(build)
+
+
+@st.composite
+def graph_pairs(draw):
+    """Two distinct graphs at N = 9..12: either two random Dyck words, or
+    one and the graph left after removing some maximal edges and adding
+    some addable ones (adjacent or not, depending on nesting)."""
+    n = draw(st.integers(9, 12))
+    g1 = dyck_to_dc(DyckPath(draw(dyck_words(n))))
+    if draw(st.booleans()):
+        g2 = dyck_to_dc(DyckPath(draw(dyck_words(n))))
+    else:
+        removed = draw(st.sets(st.sampled_from(sorted(maximal_edges(g1))))) if g1.edges else set()
+        g2 = DCGraph(n, g1.edges - removed)
+        addable = sorted(addable_edges(g2))
+        added = draw(st.sets(st.sampled_from(addable), min_size=0 if removed else 1)) if addable else set()
+        g2 = DCGraph(n, g2.edges | added)
+    return g1, g2
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_pairs())
+def test_adjacency_kernel_matches_references_at_large_n(pair):
+    g1, g2 = pair
+    if g1 == g2:
+        with pytest.raises(ValueError, match="distinct graphs"):
+            regions_adjacent(g1, g2)
+        return
+    assert_adjacency_matches_references(g1, g2)
+
+
+def test_adjacency_errors_unchanged():
+    K4 = DCGraph.complete(4)
+    with pytest.raises(ValueError, match="^graphs must share the vertex count$"):
+        regions_adjacent(K4, DCGraph.complete(3))
+    with pytest.raises(ValueError, match="^graphs must share the vertex count$"):
+        regions_adjacent(DCGraph.empty(3), DCGraph.empty(4))  # vertex count is checked first
+    with pytest.raises(ValueError, match="^adjacency is defined for distinct graphs$"):
+        regions_adjacent(K4, DCGraph(4, frozenset(all_pairs(4))))
+
+
+def test_edge_bits_follow_the_pair_layout_whatever_the_construction():
+    """bit k is all_pairs(n)[k]; graphs with equal edges have equal bits
+    whether enumerated, toggled, or read back from JSON."""
+    for n in range(1, 6):
+        pairs = all_pairs(n)
+        bits = {g.edges: g.bits for g in enumerate_dc(n)}
+        for edges, mask in bits.items():
+            assert mask == sum(1 << k for k, e in enumerate(pairs) if e in edges)
+        for g in enumerate_dc(n):
+            for e in maximal_edges(g):
+                h = g.without_edge(e)
+                assert h.bits == bits[h.edges]
+            for e in addable_edges(g):
+                h = g.with_edge(e)
+                assert h.bits == bits[h.edges]
+            assert DCGraph.from_json_dict(json.loads(json.dumps(g.to_json_dict()))).bits == g.bits
+            assert DCGraph(n, reversed(sorted(g.edges))).bits == g.bits
+
+
+def test_edge_bits_stay_out_of_equality_and_survive_pickling():
+    graphs = list(enumerate_dc(5))
+    fresh = [DCGraph(5, g.edges) for g in graphs]  # no mask computed yet
+    for g, f in zip(graphs, fresh):
+        assert "bits" not in vars(f)
+        assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+        assert f.to_json_dict() == g.to_json_dict()
+    graphs[3].bits
+    restored = [pickle.loads(pickle.dumps(g)) for g in graphs + fresh]
+    for g, r in zip(graphs + fresh, restored):
+        assert r == g and hash(r) == hash(g) and r.bits == g.bits
+    for g1, r1 in zip(graphs, restored):
+        for g2, r2 in zip(graphs, restored[len(graphs):]):
+            if g1 != g2:
+                assert regions_adjacent(r1, r2) == regions_adjacent(g1, g2)
 
 
 def test_stanley_covers():
