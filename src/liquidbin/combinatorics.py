@@ -249,10 +249,16 @@ def b_map(g: DCGraph, i: int) -> int:
 # region checks ask for m(G) and M(G) of the same few graphs at every point
 @lru_cache(maxsize=4096)
 def maximal_edges(g: DCGraph) -> frozenset[Edge]:
-    """m(G): edges maximal for the nesting order."""
+    """m(G): edges maximal for the nesting order.
+
+    On a DC graph an edge is maximal iff neither immediate parent
+    (i-1, j) nor (i, j+1) is an edge: any edge containing it contains
+    one of those, which downward closure then puts in G.  O(|E|).
+    """
+    edges = g.edges
     return frozenset(
-        e for e in g.edges
-        if not any(e != f and edge_nested(e, f) for f in g.edges)
+        e for e in edges
+        if (e[0] - 1, e[1]) not in edges and (e[0], e[1] + 1) not in edges
     )
 
 
@@ -260,20 +266,15 @@ def maximal_edges(g: DCGraph) -> frozenset[Edge]:
 def addable_edges(g: DCGraph) -> frozenset[Edge]:
     """M(G): pairs outside G whose addition keeps the graph downward closed.
 
-    Equivalently the minimal elements of the complement of E(G) in E_n.
+    Equivalently the minimal elements of the complement of E(G) in E_n:
+    on a DC graph, the non-edges of length 1 and those whose two
+    immediate children (i+1, j) and (i, j-1) are edges.  O(N^2).
     """
+    edges = g.edges
     out = set()
     for e in all_pairs(g.n):
-        if e in g.edges:
-            continue
         i, j = e
-        nested_inside = (
-            (i2, j2)
-            for i2 in range(i, j)
-            for j2 in range(i2 + 1, j + 1)
-            if (i2, j2) != e
-        )
-        if all(f in g.edges for f in nested_inside):
+        if e not in edges and (j - i == 1 or (i + 1, j) in edges and (i, j - 1) in edges):
             out.add(e)
     return frozenset(out)
 

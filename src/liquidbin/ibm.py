@@ -22,6 +22,7 @@ from .regions import classify
 RNG_NAME = "numpy-pcg64"
 _BURN_CHUNK = 4096  # the burn-in is drawn in batches of at least this many moves
 _TRIM_LENGTH = 16  # least list length at which a new front bin trims the window's back
+MAX_BURN_IN = 10**8  # moves: the 10 * max_move burn-in is refused beyond this
 
 
 @dataclass(frozen=True)
@@ -129,14 +130,28 @@ def _run_chain(counts: list[int], moves, window: int) -> tuple[list[int], int]:
     return counts, displacement
 
 
+def _burn_in(dist: MoveDistribution) -> int:
+    """The 10 * max_move burn-in, or ValueError beyond MAX_BURN_IN moves."""
+    burn = 10 * dist.max_move
+    if burn > MAX_BURN_IN:
+        raise ValueError(
+            f"max move {dist.max_move} needs a burn-in of {burn} moves, "
+            f"beyond the limit of {MAX_BURN_IN} (max move at most {MAX_BURN_IN // 10})"
+        )
+    return burn
+
+
 def simulate_ibm(dist: MoveDistribution, steps: int, seed: int) -> SimResult:
     """Monte Carlo front speed from the flat start (max_move particles in
     bin 0), with a burn-in of 10 * max_move steps discarded and a 95%
-    batch-means interval over ~sqrt(steps) batches."""
+    batch-means interval over ~sqrt(steps) batches.
+
+    A burn-in beyond MAX_BURN_IN moves (max_move above 10^7) raises
+    ValueError instead of running for hours."""
     if steps < 1:
         raise ValueError("need at least one step")
     k = dist.max_move
-    burn = 10 * k
+    burn = _burn_in(dist)
     rng = np.random.default_rng(seed)
     thresholds = np.cumsum(dist.weights[:-1])
     support = np.asarray(dist.support, dtype=np.int64)
@@ -220,9 +235,8 @@ class HydroSummary:
     gap_decreased: bool
 
 
-def _hydro_row(params: Params, steps: int, liquid: float, task) -> HydroRow:
-    s, child_seed = task
-    dist = mu_s(params, s)
+def _hydro_row(steps: int, liquid: float, task) -> HydroRow:
+    s, dist, child_seed = task
     sim = simulate_ibm(dist, steps, child_seed)
     sv = float(s) * sim.speed_estimate
     return HydroRow(
@@ -252,8 +266,11 @@ def hydrolimit_check(
     norm = params.normalized_rates()
     liquid = float(classify(norm).speed)
     s_values = list(s_values)
-    tasks = list(zip(s_values, spawn_seeds(seed, len(s_values))))
-    rows = parallel_map(partial(_hydro_row, params, steps, liquid), tasks, jobs)
+    dists = [mu_s(params, s) for s in s_values]
+    for dist in dists:  # refuse an overlong burn-in before any chain runs
+        _burn_in(dist)
+    tasks = list(zip(s_values, dists, spawn_seeds(seed, len(s_values))))
+    rows = parallel_map(partial(_hydro_row, steps, liquid), tasks, jobs)
     return HydroSummary(
         rows=tuple(rows),
         gap_first=rows[0].gap,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -55,7 +56,12 @@ def _ints_as_fractions(xs: Sequence[Number]) -> tuple[Number, ...]:
 
 @dataclass(frozen=True)
 class Params:
-    """Validated parameter vector (a, p) with derived gaps and rates."""
+    """Validated parameter vector (a, p) with derived gaps and rates.
+
+    d, q and is_exact are computed on first use and cached on the
+    instance, outside the dataclass fields, so equality, hashing and repr
+    are those of (a, p) alone; a pickled instance carries what it cached.
+    """
 
     a: tuple[Number, ...]
     p: tuple[Number, ...]
@@ -80,17 +86,22 @@ class Params:
         for i, pi in enumerate(self.p):
             if not pi > 0:
                 raise ParamsError(f"rates must be positive: p[{i}] = {pi}")
+        # an infinite q_N makes the exact-zero edge weights inf - inf
+        if isinstance(self.q[-1], float) and not math.isfinite(self.q[-1]):
+            raise ParamsError(
+                f"cumulative rate p_1 + ... + p_N must be finite, overflows to {self.q[-1]}"
+            )
 
     @property
     def n(self) -> int:
         return len(self.a)
 
-    @property
+    @cached_property
     def d(self) -> tuple[Number, ...]:
         """Gaps d_i = a_i - a_{i-1}, 1-based content (length N)."""
         return tuple(self.a[i] - (self.a[i - 1] if i else 0) for i in range(self.n))
 
-    @property
+    @cached_property
     def q(self) -> tuple[Number, ...]:
         """Cumulative rates with sentinel: q[0] = 0, q[i] = p_1 + ... + p_i."""
         out = [0 * self.p[0]]
@@ -98,7 +109,7 @@ class Params:
             out.append(out[-1] + pi)
         return tuple(out)
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return all(is_exact_scalar(x) for x in self.a + self.p)
 

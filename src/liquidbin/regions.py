@@ -12,8 +12,8 @@ of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache, partial
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .combinatorics import (
     DCGraph,
@@ -32,23 +32,100 @@ from ._parallel import parallel_map
 from .params import Number, Params, ParamsError, parse_number
 
 
+class _Plan(NamedTuple):
+    """Index structure of a graph's linear system (see _plan)."""
+
+    b: tuple[int, ...]  # b map, index 0..N
+    # i -> (h, mid) per edge (i, h) whose weight
+    # (q[b(i)] - q[mid]) / q[b(i-1)] is not an exact zero, h increasing
+    gammas: tuple[tuple[tuple[int, int], ...], ...]
+    # i -> (j, heads) per j > i reachable from i, j increasing: the h of
+    # gammas[i] with h == j or j reachable from h, increasing
+    paths: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    rated: tuple[tuple[int, ...], ...]  # i -> i and the j of paths[i] with b(j) != b(j-1)
+
+
+@lru_cache(maxsize=4096)
+def _shared(t: tuple) -> tuple:
+    """One instance per value: plans share their small tuples, most of
+    which recur across graphs."""
+    return t
+
+
+@lru_cache(maxsize=4096)
+def _plan(g: DCGraph) -> _Plan:
+    """Which path weights of g can be nonzero, and from which terms.
+
+    Built once per graph (keyed by value: the walk builds a new DCGraph
+    at every step), so a solve keeps only the arithmetic.  The terms left
+    out are exact zeros whatever the parameters: the weight of edge
+    (i, h) is (q_{b(i)} - q_{max(h-1, b(i-1))}) / q_{b(i-1)}, which
+    vanishes when the two indices agree (q is finite: Params rejects a
+    q_N that overflows), and a path weight with no path behind it is a
+    sum of products with such zeros.  On a DC graph b is nondecreasing,
+    so every weight is >= 0 and no partial sum is -0.0; adding +0.0
+    changes no bit of a float sum, compensated (Python 3.12+) or not.
+    Skipping those terms leaves every result bit-identical to the dense
+    sums, except where a weight overflows to inf: there the dense sums
+    held 0 * inf = nan terms, and a solution that already holds nan or
+    inf can differ in its other components.
+    """
+    n = g.n
+    b = tuple(b_map(g, i) for i in range(n + 1))
+    gammas: list = [()] * (n + 1)
+    paths: list = [()] * (n + 1)
+    rated: list = [()] * (n + 1)
+    reach: list[tuple[int, ...]] = [()] * (n + 1)
+    for i in range(n, 0, -1):
+        mids = ((h, max(h - 1, b[i - 1])) for h in range(i + 1, b[i] + 1))
+        gammas[i] = _shared(tuple(_shared(e) for e in mids if e[1] != b[i]))
+        heads: dict[int, list[int]] = {}
+        for (h, _) in gammas[i]:
+            for j in (h, *reach[h]):
+                heads.setdefault(j, []).append(h)
+        reach[i] = tuple(sorted(heads))
+        paths[i] = _shared(tuple(_shared((j, _shared(tuple(heads[j])))) for j in reach[i]))
+        rated[i] = _shared(tuple(j for j in (i, *reach[i]) if b[j] != b[j - 1]))
+    return _Plan(b, tuple(gammas), tuple(paths), tuple(rated))
+
+
+def _path_weights(plan: _Plan, q: Sequence[Number]) -> list[dict[int, Number]]:
+    """Row i maps i to 1 and each j reachable from i to the total weight
+    of the paths from i to j, in increasing j: the sums of the
+    first-step decomposition, over the plan's terms only."""
+    b = plan.b
+    rows: list[dict[int, Number]] = [{}] * len(b)
+    for i in range(len(b) - 1, 0, -1):
+        top, bot = q[b[i]], q[b[i - 1]]
+        gam = {h: (top - q[mid]) / bot for (h, mid) in plan.gammas[i]}
+        row = {i: 1}
+        for j, heads in plan.paths[i]:
+            row[j] = sum(gam[h] * rows[h][j] for h in heads)
+        rows[i] = row
+    return rows
+
+
 def _tables(g: DCGraph, params: Params):
-    """b map (index 0..N), edge weights, and the path-weight matrix of g.
+    """b map (index 0..N), edge weights, and the path-weight matrix of g,
+    all from the graph's plan.
 
     Path weights are accumulated by descending first-step decomposition,
-    O(N^3), never by enumerating the (exponentially many) paths.
+    never by enumerating the (exponentially many) paths.
     """
     n, q = params.n, params.q
-    b = [b_map(g, i) for i in range(n + 1)]
-    gam = {}
-    for (i, j) in g.edges:
-        gam[(i, j)] = (q[b[i]] - q[max(j - 1, b[i - 1])]) / q[b[i - 1]]
+    plan = _plan(g)
+    b = plan.b
+    gam = {(i, h): (q[b[i]] - q[max(h - 1, b[i - 1])]) / q[b[i - 1]]
+           for i in range(n, 0, -1) for h in range(i + 1, b[i] + 1)}
     big = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n, 0, -1):
-        big[i][i] = 1
-        for j in range(i + 1, n + 1):
-            big[i][j] = sum(gam[(i, h)] * big[h][j] for h in range(i + 1, min(j, b[i]) + 1))
-    return b, gam, big
+    for i, row in enumerate(_path_weights(plan, q)):
+        if i and b[i] > i:
+            # the dense sum over h in (i, min(j, b(i))] is nonempty: where
+            # all its terms are zeros it is the zero of the parameters' type
+            big[i][i + 1:] = [q[0]] * (n - i)
+        for j, v in row.items():
+            big[i][j] = v
+    return list(b), gam, big
 
 
 def gamma(g: DCGraph, params: Params, e: Edge) -> Number:
@@ -72,15 +149,22 @@ def solve_system(g: DCGraph, params: Params) -> tuple[Number, ...]:
 
     z_1 is a ratio of weighted gap sums; the remaining z_i follow from the
     triangular structure.  Exact when the parameters are Fractions.
+
+    The sums run over the graph's plan: O(N + nonzero path-weight terms)
+    per call, each term (v * d) / q as in the dense formula, in the same
+    order, the exact zeros left out (see _plan for why no bit changes).
     """
     n, q, d = params.n, params.q, params.d
-    b, _, big = _tables(g, params)
+    plan = _plan(g)
+    b, rated = plan.b, plan.rated
+    rows = _path_weights(plan, q)
 
     def gap_sum(i: int) -> Number:
-        return sum(big[i][j] * d[j - 1] / q[b[j - 1]] for j in range(i, n + 1))
+        return sum(v * d[j - 1] / q[b[j - 1]] for j, v in rows[i].items())
 
     def rate_sum(i: int) -> Number:
-        return sum(big[i][j] * (q[b[j]] - q[b[j - 1]]) / q[b[j - 1]] for j in range(i, n + 1))
+        row = rows[i]
+        return sum(row[j] * (q[b[j]] - q[b[j - 1]]) / q[b[j - 1]] for j in rated[i])
 
     z1 = gap_sum(1) / (1 + rate_sum(1))
     z = [z1]
@@ -110,7 +194,7 @@ def system_residual(g: DCGraph, params: Params, z: Sequence[Number]) -> Number:
     """Sup-norm residual of z in the untransformed linear system
     a_i = sum_{j <= b(i)} p_j ((z_1+...+z_i) - (z_1+...+z_j) + z_1)."""
     n, p = params.n, params.p
-    b, _, _ = _tables(g, params)
+    b = _plan(g).b
     prefix = [0]
     for zi in z:
         prefix.append(prefix[-1] + zi)
@@ -261,12 +345,22 @@ def _proposal_first(proposal: DCGraph) -> Iterator[DCGraph]:
 def _gap_edges(z: Sequence[Number], margin: Number) -> frozenset[Edge]:
     """The pairs (i, j) whose sub-pairs (i', j') all have
     z_1 - (z_{i'+1} + ... + z_{j'}) > margin: the largest downward-closed
-    set of pairs above the margin, which is all of them when z > 0."""
-    up = {(i, j) for (i, j) in all_pairs(len(z)) if z[0] - _zsum(z, i, j) > margin}
-    return frozenset(
-        (i, j) for (i, j) in up
-        if all((i2, j2) in up for i2 in range(i, j) for j2 in range(i2 + 1, j + 1))
-    )
+    set of pairs above the margin, which is all of them when z > 0.
+
+    By increasing length, a pair is kept when it is above the margin and
+    its two immediate children (i+1, j) and (i, j-1) are kept: every
+    sub-pair is reached from it by such steps.  O(N^2) membership tests.
+    """
+    n = len(z)
+    up = {(i, j) for (i, j) in all_pairs(n) if z[0] - _zsum(z, i, j) > margin}
+    keep = set()
+    for length in range(1, n):
+        for i in range(1, n - length + 1):
+            j = i + length
+            if (i, j) in up and (length == 1 or (i + 1, j) in keep and (i, j - 1) in keep):
+                keep.add((i, j))
+    # built from `up`, as a filter, so the frozenset prints in the same order
+    return frozenset(e for e in up if e in keep)
 
 
 def _walk(params: Params) -> tuple[DCGraph, tuple[Number, ...]]:

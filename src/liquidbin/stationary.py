@@ -74,30 +74,31 @@ class Trajectory:
         if len(s) != params.n:
             raise ValueError("need one breakpoint time per sign")
         self.params = params
+        self.q, self.n = params.q, params.n
         self.b = tuple(sj - s[0] for sj in s)
         if any(self.b[i] > self.b[i + 1] for i in range(len(s) - 1)) or self.b[0] != 0:
             raise ValueError("breakpoint times must be nondecreasing")
-        q = params.q
+        q = self.q
         vals = [0 * s[0]]
-        for j in range(1, params.n):
+        for j in range(1, self.n):
             vals.append(vals[-1] + q[j] * (self.b[j] - self.b[j - 1]))
         self.v = tuple(vals)
 
     def value(self, t: Number) -> Number:
         if t < 0:
             raise ValueError("trajectories are defined for t >= 0")
-        j = self.params.n
+        j = self.n
         while j > 1 and self.b[j - 1] > t:
             j -= 1
-        return self.v[j - 1] + self.params.q[j] * (t - self.b[j - 1])
+        return self.v[j - 1] + self.q[j] * (t - self.b[j - 1])
 
     def time_at(self, x: Number) -> Number:
         if x < 0:
             raise ValueError("positions are nonnegative")
-        j = self.params.n
+        j = self.n
         while j > 1 and self.v[j - 1] > x:
             j -= 1
-        return self.b[j - 1] + (x - self.v[j - 1]) / self.params.q[j]
+        return self.b[j - 1] + (x - self.v[j - 1]) / self.q[j]
 
     def sup_distance(self, other: "Trajectory") -> Number:
         """Exact sup-norm distance: both paths are piecewise linear with a

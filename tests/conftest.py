@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from liquidbin import combinatorics, regions
 from liquidbin.dynamics import BinConfig
@@ -77,3 +78,21 @@ def random_bin_config(rng: random.Random, params: Params) -> BinConfig:
 
 def random_duration(rng: random.Random, max_units: int = 24) -> Fraction:
     return Fraction(rng.randint(0, max_units), rng.randint(1, 6))
+
+
+def dyck_words(n: int):
+    """Hypothesis strategy: Dyck words of length 2n, one up/down choice
+    per free step."""
+    def build(choices):
+        word, ups, height = [], 0, 0
+        for up in choices:
+            if ups < n and (up or height == 0):
+                word.append("+")
+                ups += 1
+                height += 1
+            else:
+                word.append("-")
+                height -= 1
+        return "".join(word)
+
+    return st.lists(st.booleans(), min_size=2 * n, max_size=2 * n).map(build)

@@ -90,7 +90,8 @@ def test_speed_tolerance_must_be_positive(capsys, tol):
 
 
 @pytest.mark.parametrize("argv", [["speed", "--a", "1,inf", "--p", "1,1"],
-                                  ["classify", "--a", "1,2", "--p", "1,nan"]])
+                                  ["classify", "--a", "1,2", "--p", "1,nan"],
+                                  ["classify", "--a", "1,2", "--p", "1e308,1e308"]])
 def test_non_finite_parameters_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_BAD_INPUT
@@ -338,6 +339,16 @@ def test_ibm_scale_beyond_int64_moves_exits_2(capsys, scale):
     code, out, err = run_cli(capsys, "ibm", "--a", "1.5,2.5", "--p", "0.5,1.5", "--s", scale, "--steps", "10")
     assert code == EXIT_BAD_INPUT
     assert out == "" and err.startswith("error: scale") and "Traceback" not in err
+
+
+def test_ibm_burn_in_beyond_the_limit_exits_2(capsys):
+    # scale 1e9 puts the largest atom at 2.5e9: a 2.5e10-move burn-in,
+    # about an hour and a half of chain steps, refused at once
+    code, out, err = run_cli(
+        capsys, "ibm", "--a", "1.5,2.5", "--p", "0.5,1.5", "--s", "20,1e9", "--steps", "10")
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err.startswith("error: max move 2500000000") and "Traceback" not in err
+    assert "limit of 100000000" in err
 
 
 def test_ibm_command(tmp_path, capsys):

@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import dyck_words
 from liquidbin.combinatorics import (
     Adjacency,
     DCGraph,
@@ -181,6 +182,43 @@ def test_maximal_addable_against_mutation_oracle():
                     assert (e in addable_edges(g)) == is_closed(n, g.edges | {e})
 
 
+def maximal_edges_reference(g):
+    """The all-pairs scan the neighbour rule replaced: O(|E|^2)."""
+    return frozenset(
+        e for e in g.edges
+        if not any(e != f and edge_nested(e, f) for f in g.edges)
+    )
+
+
+def addable_edges_reference(g):
+    """The all-sub-pairs scan the neighbour rule replaced: O(N^4)."""
+    out = set()
+    for e in all_pairs(g.n):
+        if e in g.edges:
+            continue
+        i, j = e
+        nested_inside = (
+            (i2, j2)
+            for i2 in range(i, j)
+            for j2 in range(i2 + 1, j + 1)
+            if (i2, j2) != e
+        )
+        if all(f in g.edges for f in nested_inside):
+            out.add(e)
+    return frozenset(out)
+
+
+def test_maximal_addable_neighbour_rule_matches_reference_scans():
+    """Same sets, and the same frozenset print order, which
+    in_region_report's boundary flags inherit."""
+    for n in range(1, 8):
+        for g in enumerate_dc(n):
+            for fast, reference in ((maximal_edges, maximal_edges_reference),
+                                    (addable_edges, addable_edges_reference)):
+                assert fast(g) == reference(g)
+                assert list(fast(g)) == list(reference(g))
+
+
 def test_addable_is_minimal_complement():
     for n in range(1, 6):
         for g in enumerate_dc(n):
@@ -242,23 +280,6 @@ def test_adjacency_dual_characterizations_agree():
         for i, g1 in enumerate(graphs):
             for g2 in graphs[i + 1:]:
                 assert_adjacency_matches_references(g1, g2)
-
-
-def dyck_words(n):
-    """Dyck words of length 2n, one up/down choice per free step."""
-    def build(choices):
-        word, ups, height = [], 0, 0
-        for up in choices:
-            if ups < n and (up or height == 0):
-                word.append("+")
-                ups += 1
-                height += 1
-            else:
-                word.append("-")
-                height -= 1
-        return "".join(word)
-
-    return st.lists(st.booleans(), min_size=2 * n, max_size=2 * n).map(build)
 
 
 @st.composite

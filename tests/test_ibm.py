@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liquidbin.ibm import (
+    MAX_BURN_IN,
     MoveDistribution,
+    _burn_in,
     _run_chain,
     deterministic_speed,
     hydrolimit_check,
@@ -169,6 +171,16 @@ def test_hydrolimit_reproducible():
     a = hydrolimit_check(FIG1, [20, 50], steps=10000, seed=5)
     b = hydrolimit_check(FIG1, [20, 50], steps=10000, seed=5)
     assert [r.v_hat for r in a.rows] == [r.v_hat for r in b.rows]
+
+
+def test_burn_in_beyond_the_limit_is_refused():
+    at_limit = MoveDistribution((MAX_BURN_IN // 10,), (1.0,))
+    beyond = MoveDistribution((1, MAX_BURN_IN // 10 + 1), (0.5, 0.5))
+    with pytest.raises(ValueError, match="limit of 100000000"):
+        simulate_ibm(beyond, 10, seed=0)
+    with pytest.raises(ValueError, match="limit"):
+        hydrolimit_check(FIG1, [10, 4e7], 10, seed=0)  # refused before any chain runs
+    assert _burn_in(at_limit) == MAX_BURN_IN
 
 
 def test_burn_in_recorded():

@@ -1,4 +1,5 @@
 import json
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -71,3 +72,28 @@ def test_as_exact_and_back():
     exact = p.as_exact()
     assert exact.is_exact
     assert exact.as_float() == p
+
+
+def test_derived_values_cached_outside_equality_and_pickling():
+    p = Params((1.5, 2.5), (0.5, 1.5))
+    twin = Params((1.5, 2.5), (0.5, 1.5))
+    before = (repr(p), hash(p))
+    assert p.q is p.q and p.d is p.d  # computed once
+    assert p.is_exact is False
+    assert (repr(p), hash(p)) == before and p == twin  # twin has cached nothing
+    assert repr(p) == "Params(a=(1.5, 2.5), p=(0.5, 1.5))"
+    for obj in (p, twin):
+        again = pickle.loads(pickle.dumps(obj))
+        assert again == p and hash(again) == hash(p) and repr(again) == repr(p)
+        assert again.q == (0.0, 0.5, 2.0) and again.d == (1.5, 1.0) and not again.is_exact
+    with pytest.raises(AttributeError):
+        p.a = (1.0, 2.0)  # still frozen
+
+
+def test_cumulative_rate_overflow_rejected():
+    with pytest.raises(ParamsError, match="overflows"):
+        Params((1.0, 2.0, 3.0), (1e308, 1e308, 1.0))
+    big = Params((1.0, 2.0), (1e308, 7e307))  # q_N = 1.7e308 is still finite
+    assert big.q[-1] == 1.7e308
+    exact = Params((1, 2), (10**400, 10**400))  # exact rates never overflow
+    assert exact.q[-1] == 2 * 10**400

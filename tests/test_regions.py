@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_rational_params, tied_phase_thresholds
+from conftest import dyck_words, random_rational_params, tied_phase_thresholds
 from liquidbin import regions
 from liquidbin.combinatorics import (
     DCGraph,
+    DyckPath,
+    all_pairs,
     b_map,
     connected_component_of_one,
+    dyck_to_dc,
     enumerate_dc,
     graph_index,
 )
@@ -627,3 +630,155 @@ def test_classify_z_is_the_reported_graphs_solution_near_walls():
         elsewhere += regions._walk(params)[0] != report.graph
         assert report.z == solve_system(report.graph, params)
     assert elsewhere
+
+
+# ---------------------------------------------------------------------------
+# the per-graph plan against the dense formula it replaced
+
+
+def dense_tables_reference(g, params):
+    """The dense tables: b map, every edge weight, and the full O(N^3)
+    path-weight matrix by descending first-step decomposition."""
+    n, q = params.n, params.q
+    b = [b_map(g, i) for i in range(n + 1)]
+    gam = {}
+    for (i, j) in g.edges:
+        gam[(i, j)] = (q[b[i]] - q[max(j - 1, b[i - 1])]) / q[b[i - 1]]
+    big = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(n, 0, -1):
+        big[i][i] = 1
+        for j in range(i + 1, n + 1):
+            big[i][j] = sum(gam[(i, h)] * big[h][j] for h in range(i + 1, min(j, b[i]) + 1))
+    return b, gam, big
+
+
+def dense_solve_reference(g, params):
+    """The closed form over the dense matrix, every term included."""
+    n, q, d = params.n, params.q, params.d
+    b, _, big = dense_tables_reference(g, params)
+
+    def gap_sum(i):
+        return sum(big[i][j] * d[j - 1] / q[b[j - 1]] for j in range(i, n + 1))
+
+    def rate_sum(i):
+        return sum(big[i][j] * (q[b[j]] - q[b[j - 1]]) / q[b[j - 1]] for j in range(i, n + 1))
+
+    z1 = gap_sum(1) / (1 + rate_sum(1))
+    return (z1, *(gap_sum(i) - z1 * rate_sum(i) for i in range(2, n + 1)))
+
+
+def dense_triangular_reference(g, params):
+    n, q, d = params.n, params.q, params.d
+    b, gam, _ = dense_tables_reference(g, params)
+    aff = {}
+    for i in range(n, 0, -1):
+        u = d[i - 1] / q[b[i - 1]]
+        w = -(q[b[i]] - q[b[i - 1]]) / q[b[i - 1]]
+        for j in range(i + 1, b[i] + 1):
+            u = u + gam[(i, j)] * aff[j][0]
+            w = w + gam[(i, j)] * aff[j][1]
+        aff[i] = (u, w)
+    z1 = aff[1][0] / (1 - aff[1][1])
+    return tuple(aff[i][0] + aff[i][1] * z1 if i > 1 else z1 for i in range(1, n + 1))
+
+
+def assert_plan_matches_dense_formula(g, params):
+    """repr equality: same values, same types (0 vs 0.0 vs Fraction(0)),
+    same bits."""
+    n = g.n
+    assert repr(solve_system(g, params)) == repr(dense_solve_reference(g, params))
+    assert repr(solve_system_triangular(g, params)) == repr(dense_triangular_reference(g, params))
+    b, gam, big = regions._tables(g, params)
+    b_ref, gam_ref, big_ref = dense_tables_reference(g, params)
+    assert b == b_ref
+    assert repr(sorted(gam.items())) == repr(sorted(gam_ref.items()))
+    assert repr(big) == repr(big_ref)
+    assert repr([big_gamma(g, params, i, n) for i in range(1, n + 1)]) == repr(
+        [big_ref[i][n] for i in range(1, n + 1)])
+
+
+def _float_and_exact_points(rng, n, k):
+    """k seeded exact points with small rationals and k log-uniform float
+    points (gaps and rates over [1e-2, 1e2])."""
+    for _ in range(k):
+        yield random_rational_params(rng, n)
+        d = [10.0 ** rng.uniform(-2, 2) for _ in range(n)]
+        yield Params(tuple(np.cumsum(d).tolist()), tuple(10.0 ** rng.uniform(-2, 2) for _ in range(n)))
+
+
+def test_plan_solve_is_bit_identical_to_the_dense_formula_on_every_graph():
+    rng = random.Random(10)
+    for n in range(1, 7):
+        for g in enumerate_dc(n):
+            for params in _float_and_exact_points(rng, n, 2):
+                assert_plan_matches_dense_formula(g, params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(7, 9).flatmap(lambda n: st.tuples(dyck_words(n), st.integers(0, 2**32), st.booleans())))
+def test_plan_solve_is_bit_identical_at_larger_n(case):
+    word, seed, exact = case
+    g = dyck_to_dc(DyckPath(word))
+    rng = random.Random(seed)
+    points = list(_float_and_exact_points(rng, g.n, 1))
+    assert_plan_matches_dense_formula(g, points[0 if exact else 1])
+
+
+def test_plan_keeps_zero_weights_out_of_the_sums():
+    # on K(N) every edge weight from i > 1 is an exact zero: only the N - 1
+    # paths 1 -> j carry weight, one term each
+    plan = regions._plan(K(6))
+    assert [len(plan.gammas[i]) for i in range(1, 7)] == [5, 0, 0, 0, 0, 0]
+    assert plan.paths[1] == tuple((j, (j,)) for j in range(2, 7))
+    assert regions._plan(K(6)) is plan  # cached by value
+    assert regions._plan(DCGraph(6, frozenset(K(6).edges))) is plan
+
+
+def gap_edges_reference(z, margin):
+    """The all-sub-pairs filter the immediate-children closure replaced."""
+    up = {(i, j) for (i, j) in all_pairs(len(z)) if z[0] - regions._zsum(z, i, j) > margin}
+    return frozenset(
+        (i, j) for (i, j) in up
+        if all((i2, j2) in up for i2 in range(i, j) for j2 in range(i2 + 1, j + 1))
+    )
+
+
+def test_gap_edges_closure_matches_the_sub_pair_filter():
+    """Same set and the same frozenset iteration order, on vectors with
+    negative entries (where the closure removes pairs) and on walk
+    solutions."""
+    rng = random.Random(11)
+    cases = []
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        z = [rng.uniform(-1, 2) for _ in range(n)]
+        cases.append((z, rng.choice([0, 0.1, 0.5, 1.0])))
+    for params in _float_and_exact_points(rng, 8, 20):
+        cases.append((regions._walk(params.as_float())[1], 0))
+    removed = 0
+    for z, margin in cases:
+        got, want = regions._gap_edges(z, margin), gap_edges_reference(z, margin)
+        assert got == want and list(got) == list(want)
+        up = {(i, j) for (i, j) in all_pairs(len(z)) if z[0] - regions._zsum(z, i, j) > margin}
+        removed += len(up) - len(got)
+    assert removed  # the closure step was exercised
+
+
+@pytest.mark.parametrize("params, tol, iterations, certified_error, z", [
+    (Params((1.5, 2.5), (0.5, 1.5)), 1e-12, 3, 0.0, (1.125, 0.5)),
+    (Params((0.3, 1.1, 2.0, 2.2), (2.0, 0.1, 1.0, 3.0)), 1e-12, 63, 8.277656338151473e-13,
+     (0.15, 0.39249999999999996, 0.1896955503520571, 0.032786885245901676)),
+    (Params((0.25, 0.75, 1.0, 2.0, 3.5, 3.75), (1.0, 0.5, 0.25, 2.0, 0.75, 1.25)), 1e-12, 47,
+     8.817391261572993e-13,
+     (0.25, 0.3482142857142857, 0.1428571428571429, 0.28571428571439883, 0.2811594202899539,
+      0.04347826086956519)),
+    (Params((1, 3, 6), (4, 1, 1)), F(1, 10**6), 9, F(2128799, 7873200000000),
+     (F(1, 4), F(3417969, 7812500), F(10825652128799, 19683000000000))),
+], ids=["fig1", "n4", "n6", "exact"])
+def test_fixed_point_solve_reports_are_pinned(params, tol, iterations, certified_error, z):
+    """Values of the dense-table implementation; Params caching q and d
+    must not move a bit of the iteration."""
+    report = fixed_point_solve(params, tol)
+    assert report.iterations == iterations
+    assert repr(report.certified_error) == repr(certified_error)
+    assert repr(report.profile.z) == repr(z)
