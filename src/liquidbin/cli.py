@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 from functools import partial
 
 from .combinatorics import DCGraph, dc_to_dyck, enumerate_dc, graph_index, regions_adjacent
@@ -36,19 +35,17 @@ EXIT_WALL = 3
 
 
 def _jsonify(obj):
-    if isinstance(obj, Fraction):
-        return format_number(obj)
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, frozenset):
         return sorted(_jsonify(v) for v in obj)
-    return obj
+    return format_number(obj)
 
 
 def _emit(obj) -> None:
-    print(json.dumps(_jsonify(obj)))
+    print(json.dumps(_jsonify(obj), allow_nan=False))
 
 
 def _add_params_args(
@@ -76,10 +73,6 @@ def _write_csv(path: str | None, header: list[str], rows) -> None:
             out.close()
 
 
-def _fmt(x) -> object:
-    return format_number(x) if isinstance(x, Fraction) else x
-
-
 def _cmd_simulate(args) -> int:
     with open(args.params) as fh:
         obj = json.load(fh)
@@ -100,7 +93,7 @@ def _cmd_simulate(args) -> int:
         _write_csv(
             args.trace,
             ["time", "kind", "index", "location"],
-            [[_fmt(ev.time), ev.kind, ev.index, _fmt(ev.location)] for ev in log],
+            [[format_number(ev.time), ev.kind, ev.index, format_number(ev.location)] for ev in log],
         )
     _emit({"front": x1.front, "volumes": list(x1.volumes), "events": len(log)})
     return EXIT_OK
@@ -170,11 +163,11 @@ def _cmd_sweep(args) -> int:
     records = sweep(grid, exact=args.exact, tol=args.tol, jobs=args.jobs)
     axis_names = [name for name, _ in axes]
     rows = [
-        [_fmt(dict(rec.coords)[name]) for name in axis_names]
+        [format_number(dict(rec.coords)[name]) for name in axis_names]
         + [
             rec.graph_id if rec.graph_id is not None else "",
             rec.dyck,
-            _fmt(rec.speed) if rec.speed is not None else "",
+            format_number(rec.speed) if rec.speed is not None else "",
             int(rec.on_wall),
             rec.error,
         ]
@@ -263,7 +256,7 @@ def _cmd_ibm(args) -> int:
     summary = hydrolimit_check(params, s_values, args.steps, args.seed, jobs=args.jobs)
     rows = [
         [
-            _fmt(row.s),
+            format_number(row.s),
             ";".join(f"{k}:{w:.12g}" for k, w in zip(row.atoms.support, row.atoms.weights)),
             row.v_hat,
             row.ci95,

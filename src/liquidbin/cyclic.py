@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import DCGraph, b_map, connected_component_of_one
-from .dynamics import step_cars
+from .dynamics import _CarSim
 from .params import Number, Params
 from .regions import classify, solve_system
 from .stationary import StationaryProfile, canonical_configuration
@@ -230,11 +230,12 @@ def jump_order(
     if method != "simulate":
         raise ValueError(f"unknown method {method!r}")
     profile = StationaryProfile(z)
-    y0 = canonical_configuration(profile, params)
     horizon = profile.period if exact else profile.period * (1 + 1e-9)
-    _, log = step_cars(y0, params, horizon)
+    sim = _CarSim(canonical_configuration(profile, params), params)
+    # a stationary period crosses each sign once, the float overshoot once more
+    sim.run(horizon, max_events=2 * params.n)
     first: dict[int, Number] = {}
-    for ev in log:
+    for ev in sim.event_log():
         if ev.index in first:
             if not exact and abs(ev.time - first[ev.index]) > 1e-9 * float(profile.period):
                 continue  # next period's crossing caught by the float overshoot

@@ -11,6 +11,7 @@ of guessing.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -54,7 +55,7 @@ def _shared(t: tuple) -> tuple:
 
 @lru_cache(maxsize=4096)
 def _plan(g: DCGraph) -> _Plan:
-    """Which path weights of g can be nonzero, and from which terms.
+    """The one source of path weights: which can be nonzero, from which terms.
 
     Built once per graph (keyed by value: the walk builds a new DCGraph
     at every step), so a solve keeps only the arithmetic.  The terms left
@@ -105,43 +106,25 @@ def _path_weights(plan: _Plan, q: Sequence[Number]) -> list[dict[int, Number]]:
     return rows
 
 
-def _tables(g: DCGraph, params: Params):
-    """b map (index 0..N), edge weights, and the path-weight matrix of g,
-    all from the graph's plan.
-
-    Path weights are accumulated by descending first-step decomposition,
-    never by enumerating the (exponentially many) paths.
-    """
-    n, q = params.n, params.q
-    plan = _plan(g)
-    b = plan.b
-    gam = {(i, h): (q[b[i]] - q[max(h - 1, b[i - 1])]) / q[b[i - 1]]
-           for i in range(n, 0, -1) for h in range(i + 1, b[i] + 1)}
-    big = [[0] * (n + 1) for _ in range(n + 1)]
-    for i, row in enumerate(_path_weights(plan, q)):
-        if i and b[i] > i:
-            # the dense sum over h in (i, min(j, b(i))] is nonempty: where
-            # all its terms are zeros it is the zero of the parameters' type
-            big[i][i + 1:] = [q[0]] * (n - i)
-        for j, v in row.items():
-            big[i][j] = v
-    return list(b), gam, big
+def _edge_weight(b: Sequence[int], q: Sequence[Number], i: int, h: int) -> Number:
+    """Weight of edge (i, h) of the graph with b map b (index 0..N)."""
+    return (q[b[i]] - q[max(h - 1, b[i - 1])]) / q[b[i - 1]]
 
 
 def gamma(g: DCGraph, params: Params, e: Edge) -> Number:
     """Weight of edge (i, j): (q_{b(i)} - q_{max(j-1, b(i-1))}) / q_{b(i-1)}."""
     if e not in g.edges:
         raise ValueError(f"{e} is not an edge of the graph")
-    _, gam, _ = _tables(g, params)
-    return gam[e]
+    return _edge_weight(_plan(g).b, params.q, *e)
 
 
 def big_gamma(g: DCGraph, params: Params, i: int, j: int) -> Number:
-    """Total weight of the directed paths from i to j (1 when i == j)."""
+    """Total weight of the directed paths from i to j (1 when i == j); with
+    none, the dense sum's zero: q_0 if b(i) > i, else the int 0."""
     if not 1 <= i <= j <= params.n:
         raise ValueError("need 1 <= i <= j <= N")
-    _, _, big = _tables(g, params)
-    return big[i][j]
+    plan = _plan(g)
+    return _path_weights(plan, params.q)[i].get(j, params.q[0] if plan.b[i] > i else 0)
 
 
 def solve_system(g: DCGraph, params: Params) -> tuple[Number, ...]:
@@ -175,16 +158,18 @@ def solve_system(g: DCGraph, params: Params) -> tuple[Number, ...]:
 
 def solve_system_triangular(g: DCGraph, params: Params) -> tuple[Number, ...]:
     """Independent route: back-substitute the row-difference system with
-    z_1 carried as an affine unknown, then close the first row."""
+    z_1 carried as an affine unknown (over every edge, zero weights
+    included, not the plan's terms), then close the first row."""
     n, q, d = params.n, params.q, params.d
-    b, gam, _ = _tables(g, params)
+    b = _plan(g).b
     aff: dict[int, tuple[Number, Number]] = {}  # i -> (const, coeff of z1)
     for i in range(n, 0, -1):
         u = d[i - 1] / q[b[i - 1]]
         w = -(q[b[i]] - q[b[i - 1]]) / q[b[i - 1]]
         for j in range(i + 1, b[i] + 1):
-            u = u + gam[(i, j)] * aff[j][0]
-            w = w + gam[(i, j)] * aff[j][1]
+            gam = _edge_weight(b, q, i, j)
+            u = u + gam * aff[j][0]
+            w = w + gam * aff[j][1]
         aff[i] = (u, w)
     z1 = aff[1][0] / (1 - aff[1][1])
     return tuple(aff[i][0] + aff[i][1] * z1 if i > 1 else z1 for i in range(1, n + 1))
@@ -208,6 +193,18 @@ def system_residual(g: DCGraph, params: Params, z: Sequence[Number]) -> Number:
 def speed(g: DCGraph, params: Params) -> Number:
     """Front speed on the region of g: the reciprocal of z_1."""
     return 1 / solve_system(g, params)[0]
+
+
+def float_solution(z: Sequence[Number]) -> tuple[float, ...]:
+    """z in floats; ValueError if a z_i or the speed 1/z_1 is not finite."""
+    try:
+        zf = tuple(map(float, z))
+    except OverflowError:  # an exact z_i beyond the largest float
+        zf = (math.inf,)
+    if zf[0] != 0 and all(map(math.isfinite, (*zf, 1 / zf[0]))):
+        return zf
+    raise ValueError("the result does not fit the float range (each z_i and the speed 1/z_1 "
+                     "must be finite, |x| < 1.8e308): use --exact")
 
 
 def _zsum(z: Sequence[Number], i: int, j: int) -> Number:
@@ -298,6 +295,8 @@ def _scan(
             best = violation, g, z, flags
     else:
         _, g, z, flags = best
+    if not params.is_exact:
+        float_solution(z)
     return RegionReport(
         graph=g,
         dyck=dc_to_dyck(g),
@@ -412,14 +411,16 @@ def boundary_gap(g: DCGraph, params: Params, e: Edge) -> BoundaryGap:
     i, j = e
     if e not in maximal_edges(g) and e not in addable_edges(g):
         raise ValueError(f"{e} is not a wall edge (neither maximal nor addable) for this graph")
-    n, q = params.n, params.q
-    b, _, big = _tables(g, params)
+    q = params.q
+    plan = _plan(g)
+    b, rows = plan.b, _path_weights(plan, q)
     z = solve_system(g, params)
     zij = _zsum(z, i, j)
+    # one flat sum in the dense k-then-l order: per-k subtotals round differently
     denom = 1 + sum(
-        big[k][l] * (q[b[l]] - q[b[l - 1]]) / q[b[l - 1]]
+        rows[k][l] * (q[b[l]] - q[b[l - 1]]) / q[b[l - 1]]
         for k in range(i + 1, j + 1)
-        for l in range(k, n + 1)
+        for l in plan.rated[k]
     )
     rescaled_z = z[0] + (zij - z[0]) / denom
     return BoundaryGap(z[0] - zij, z[0] - rescaled_z)

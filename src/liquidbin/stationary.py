@@ -19,7 +19,7 @@ from fractions import Fraction
 from .combinatorics import DCGraph, b_map
 from .dynamics import CarConfig, _CarSim, step_cars
 from .params import Number, Params
-from .regions import classify
+from .regions import classify, float_solution
 
 
 class ConvergenceError(RuntimeError):
@@ -193,12 +193,13 @@ def stationary_profile(params: Params) -> tuple[StationaryProfile, Number]:
     no iteration can stall.  Exact input gives the exact profile and bound
     0.  Float input gets each z_i rounded once; the bound is the exact sup
     distance between the partial sums of the rounded z and the true
-    breakpoint times, rounded up.
+    breakpoint times, rounded up.  A z that leaves the float range raises
+    ValueError.
     """
     exact = StationaryProfile(classify(params.as_exact(), tol=0).z)
     if params.is_exact:
         return exact, Fraction(0)
-    profile = StationaryProfile(tuple(float(zi) for zi in exact.z))
+    profile = StationaryProfile(float_solution(exact.z))
     rounded = StationaryProfile(tuple(Fraction(zi) for zi in profile.z)).breakpoint_times
     error = max(abs(s - t) for s, t in zip(rounded, exact.breakpoint_times))
     bound = float(error)

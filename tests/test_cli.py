@@ -98,6 +98,83 @@ def test_non_finite_parameters_rejected(capsys, argv):
     assert out == "" and "finite" in err
 
 
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    # z_1 underflows to 0.0: the speed divided by zero
+    ["classify", "--a", "1.2698722429004309e-113,1.109610378021481e-86",
+     "--p", "1.0831266039474487e+28,8.810352311740999e+262"],
+    ["cyclic", "--a", "1.671205618876886e-151", "--p", "2.3003374432392067e+275"],
+    # a nan gap passed every wall test: the empty graph "verified"
+    ["classify", "--a", "1.294501242845795e-65,5.305678245269444e+283",
+     "--p", "2.346492116590102e-201,2.207261907847496e+98"],
+    # the exact z_1 is beyond the largest float
+    ["speed", "--a", "7.205851004419918e+59", "--p", "6.708992481669397e-282"],
+    # z_1 is subnormal: the speed 1/z_1 overflowed to Infinity
+    ["speed", "--a", "1.1479757898299049e-197", "--p", "2.9116717994614315e+121"],
+])
+def test_float_results_beyond_the_float_range_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error:") and "float range" in err and "--exact" in err
+    # the exact path stays total
+    code, out, _ = run_cli(capsys, *argv, "--exact")
+    assert code == EXIT_OK
+    strict_json(out)
+
+
+def test_sweep_point_beyond_the_float_range_is_an_error_row(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep",
+        "--fixed", "a1=1.294501242845795e-65,a2=5.305678245269444e+283,p2=2.207261907847496e+98",
+        "--vary", "p1=2.346492116590102e-201:2.346492116590102e-201:1",
+    )
+    assert code == EXIT_OK
+    [row] = list(csv.DictReader(out.splitlines()))
+    assert row["graph_id"] == "" and "float range" in row["error"]
+
+
+def test_cyclic_replay_that_is_not_stationary_exits_2(capsys):
+    # the float report is ambiguous here and its period is off by 30
+    # orders of magnitude: a replay of it would take about 1e29 events
+    code, out, err = run_cli(
+        capsys, "cyclic",
+        "--a", "9.368367786357027e-161,2.1338841875828308e-128,7.194459857735867e-18",
+        "--p", "9.73188109788971e-256,2.11300772664839e-31,1.3886215430985568e+50",
+    )
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err.startswith("error: more than 6 events")
+
+
+def test_extreme_parameters_give_an_exit_code_and_strict_json(capsys):
+    # values over 10^-300..10^300, float and exact: every call ends in a
+    # documented exit code, never a traceback, and stdout is strict JSON
+    rng = np.random.default_rng(11)
+    codes = {}
+    for _ in range(300):
+        cmd = ["classify", "speed", "cyclic"][rng.integers(3)]
+        n = int(rng.integers(1, 5))
+        a = sorted((10.0 ** rng.uniform(-300, 300, n)).tolist())
+        p = (10.0 ** rng.uniform(-300, 300, n)).tolist()
+        argv = [cmd, "--a", ",".join(map(repr, a)), "--p", ",".join(map(repr, p))]
+        if rng.random() < 0.3:
+            argv.append("--exact")
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_WALL), argv
+        if code == EXIT_BAD_INPUT:
+            assert err.startswith("error:"), argv
+        if out:
+            strict_json(out)
+        codes[code] = codes.get(code, 0) + 1
+    assert codes[EXIT_OK] and codes[EXIT_BAD_INPUT]
+
+
 def test_speed_accepts_rational_tokens(capsys):
     code, out, _ = run_cli(capsys, "speed", "--a", "3/2,5/2", "--p", "1/2,3/2", "--exact")
     assert code == EXIT_OK

@@ -11,12 +11,14 @@ from liquidbin import regions
 from liquidbin.combinatorics import (
     DCGraph,
     DyckPath,
+    addable_edges,
     all_pairs,
     b_map,
     connected_component_of_one,
     dyck_to_dc,
     enumerate_dc,
     graph_index,
+    maximal_edges,
 )
 from liquidbin.cyclic import sample_params
 from liquidbin.params import Params, ParamsError
@@ -682,19 +684,35 @@ def dense_triangular_reference(g, params):
     return tuple(aff[i][0] + aff[i][1] * z1 if i > 1 else z1 for i in range(1, n + 1))
 
 
+def dense_boundary_gap_reference(g, params, e):
+    """boundary_gap over the dense matrix: its denominator sums every
+    (k, l), k = i+1..j, l = k..N."""
+    i, j = e
+    n, q = params.n, params.q
+    b, _, big = dense_tables_reference(g, params)
+    z = dense_solve_reference(g, params)
+    zij = sum(z[i:j])
+    denom = 1 + sum(
+        big[k][l] * (q[b[l]] - q[b[l - 1]]) / q[b[l - 1]]
+        for k in range(i + 1, j + 1)
+        for l in range(k, n + 1)
+    )
+    return regions.BoundaryGap(z[0] - zij, z[0] - (z[0] + (zij - z[0]) / denom))
+
+
 def assert_plan_matches_dense_formula(g, params):
     """repr equality: same values, same types (0 vs 0.0 vs Fraction(0)),
     same bits."""
     n = g.n
     assert repr(solve_system(g, params)) == repr(dense_solve_reference(g, params))
     assert repr(solve_system_triangular(g, params)) == repr(dense_triangular_reference(g, params))
-    b, gam, big = regions._tables(g, params)
     b_ref, gam_ref, big_ref = dense_tables_reference(g, params)
-    assert b == b_ref
-    assert repr(sorted(gam.items())) == repr(sorted(gam_ref.items()))
-    assert repr(big) == repr(big_ref)
-    assert repr([big_gamma(g, params, i, n) for i in range(1, n + 1)]) == repr(
-        [big_ref[i][n] for i in range(1, n + 1)])
+    assert list(regions._plan(g).b) == b_ref
+    assert repr([(e, gamma(g, params, e)) for e in sorted(g.edges)]) == repr(sorted(gam_ref.items()))
+    assert repr([[big_gamma(g, params, i, j) for j in range(i, n + 1)] for i in range(1, n + 1)]) == repr(
+        [big_ref[i][i:] for i in range(1, n + 1)])
+    for e in (*maximal_edges(g), *addable_edges(g)):
+        assert repr(boundary_gap(g, params, e)) == repr(dense_boundary_gap_reference(g, params, e))
 
 
 def _float_and_exact_points(rng, n, k):
