@@ -215,35 +215,43 @@ def jump_order(
     "phases" reduces the stationary breakpoint times mod the period.
     Both raise WallTieError on simultaneous jumps and reject parameters
     whose stationary graph is disconnected (the graph rides the error).
+    Without a graph, the parameters are classified here, and a float report
+    that is ambiguous (within tol of a wall) raises WallTieError in place of
+    the order its graph gives, which may not be the region's.
     """
+    ambiguous = False
     if graph is None:
         report = classify(params, tol=tol)
-        graph, z = report.graph, report.z
+        graph, z, ambiguous = report.graph, report.z, report.ambiguous
     elif z is None:
         z = solve_system(graph, params)
     _require_connected(graph)
     exact = params.is_exact
     if method == "phases":
-        return _order_from_times(
-            [(u, i + 1) for i, u in enumerate(_phases(z))], z[0], exact
-        )
-    if method != "simulate":
+        times, period = [(u, i + 1) for i, u in enumerate(_phases(z))], z[0]
+    elif method == "simulate":
+        profile = StationaryProfile(z)
+        horizon = profile.period if exact else profile.period * (1 + 1e-9)
+        sim = _CarSim(canonical_configuration(profile, params), params)
+        # a stationary period crosses each sign once, the float overshoot once more
+        sim.run(horizon, max_events=2 * params.n)
+        first: dict[int, Number] = {}
+        for ev in sim.event_log():
+            if ev.index in first:
+                if not exact and abs(ev.time - first[ev.index]) > 1e-9 * float(profile.period):
+                    continue  # next period's crossing caught by the float overshoot
+                raise WallTieError(f"cursor {ev.index} recorded two jumps in one period")
+            first[ev.index] = ev.time
+        if set(first) != set(range(1, params.n + 1)):
+            raise WallTieError(f"period replay saw jumps {sorted(first)} instead of all cursors")
+        times, period = [(t, i) for i, t in first.items()], profile.period
+    else:
         raise ValueError(f"unknown method {method!r}")
-    profile = StationaryProfile(z)
-    horizon = profile.period if exact else profile.period * (1 + 1e-9)
-    sim = _CarSim(canonical_configuration(profile, params), params)
-    # a stationary period crosses each sign once, the float overshoot once more
-    sim.run(horizon, max_events=2 * params.n)
-    first: dict[int, Number] = {}
-    for ev in sim.event_log():
-        if ev.index in first:
-            if not exact and abs(ev.time - first[ev.index]) > 1e-9 * float(profile.period):
-                continue  # next period's crossing caught by the float overshoot
-            raise WallTieError(f"cursor {ev.index} recorded two jumps in one period")
-        first[ev.index] = ev.time
-    if set(first) != set(range(1, params.n + 1)):
-        raise WallTieError(f"period replay saw jumps {sorted(first)} instead of all cursors")
-    return _order_from_times([(t, i) for i, t in first.items()], profile.period, exact)
+    # checked last, so a disconnected graph or a replay that is not
+    # stationary keeps its own error (and exit code)
+    if ambiguous:
+        raise WallTieError(f"parameters within tol={tol} of a wall: the jump order is undefined there")
+    return _order_from_times(times, period, exact)
 
 
 @dataclass(frozen=True)

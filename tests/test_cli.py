@@ -310,6 +310,16 @@ def test_cyclic_wall_tie_exit_codes(capsys):
     assert code == EXIT_WALL
 
 
+def test_cyclic_float_report_near_a_wall_exits_3(capsys):
+    # classify reports this point ambiguous at tol 0.1: no order is read off it
+    argv = ["--a", "1.0,2.5,4.75,6.0,6.75", "--p", "1.0,2.0,3.0,1.0,3.0", "--tol", "0.1"]
+    code, out, err = run_cli(capsys, "cyclic", *argv)
+    assert code == EXIT_WALL
+    assert out == "" and err.startswith("error:")
+    code, out, _ = run_cli(capsys, "classify", *argv)
+    assert code == EXIT_WALL and json.loads(out)["ambiguous"] is True
+
+
 def test_cyclic_disconnected_rejected(capsys):
     code, _, err = run_cli(capsys, "cyclic", "--a", "1,50", "--p", "1,1", "--exact")
     assert code == EXIT_BAD_INPUT
@@ -385,6 +395,30 @@ def test_conjecture_command(tmp_path, capsys):
     assert payload["all_covered"] is True
     assert len(payload["graphs"]) == 2
     assert json.loads(out)["all_covered"] is True
+
+
+def test_conjecture_output_identical_across_jobs(capsys):
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(capsys, "conjecture", "--n", "4", "--budget", "200", "--seed", "3", "--jobs", jobs)
+        assert code == EXIT_OK
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_sweep_2d_float_csv_identical_across_jobs(tmp_path, capsys):
+    # 30 points, error rows (p2 <= 0, a1 >= a2) among them
+    argv = ["sweep", "--fixed", "a2=1,p2=1-p1", "--vary", "p1=0.25:1.5:0.25", "--vary", "a1=0.2:1.8:0.4"]
+    csvs = []
+    for jobs in ("1", "2"):
+        path = tmp_path / f"jobs{jobs}.csv"
+        code, _, _ = run_cli(capsys, *argv, "--jobs", jobs, "--out", str(path))
+        assert code == EXIT_OK
+        csvs.append(path.read_bytes())
+    assert csvs[0] == csvs[1]
+    rows = list(csv.DictReader(csvs[0].decode().splitlines()))
+    assert len(rows) == 30
+    assert 0 < sum(bool(r["error"]) for r in rows) < 30
 
 
 def test_conjecture_master_seeds_do_not_share_streams(capsys):

@@ -195,6 +195,9 @@ def test_jump_order_rejects_disconnected():
 def test_jump_order_wall_tie():
     with pytest.raises(WallTieError):
         jump_order(Params((F(1), F(2), F(3)), (F(1), F(1), F(1))))
+    # a float point whose classify report is ambiguous at this tol
+    with pytest.raises(WallTieError):
+        jump_order(Params((1.0, 2.5, 4.75, 6.0, 6.75), (1.0, 2.0, 3.0, 1.0, 3.0)), tol=0.1)
 
 
 def test_probe_coverage_small():
