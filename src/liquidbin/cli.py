@@ -81,10 +81,12 @@ def _cmd_simulate(args) -> int:
     if not isinstance(bins_obj, dict):
         raise ParamsError('params file needs a "bins" object {"front": int, "volumes": [...]}')
     try:
-        if not isinstance(bins_obj["volumes"], list):
+        front, volumes = bins_obj["front"], bins_obj["volumes"]
+        if not isinstance(front, int) or isinstance(front, bool):
+            raise TypeError("front must be an int")
+        if not isinstance(volumes, list):
             raise TypeError("volumes must be a list")
-        volumes = tuple(parse_number(str(v), args.exact) for v in bins_obj["volumes"])
-        x0 = BinConfig(front=int(bins_obj["front"]), volumes=volumes)
+        x0 = BinConfig(front=front, volumes=tuple(parse_number(str(v), args.exact) for v in volumes))
     except (KeyError, TypeError) as exc:
         raise ParamsError(f'bad "bins" object: {bins_obj!r}') from exc
     t = parse_number(args.t, args.exact)
@@ -204,7 +206,7 @@ def _cmd_adjacency(args) -> int:
 
 def _cmd_cyclic(args) -> int:
     params = _params_from(args)
-    order = jump_order(params, tol=args.tol, method=args.method)
+    order = jump_order(params, tol=args.tol)
     _emit({"order": list(order.order)})
     return EXIT_OK
 
@@ -324,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cyclic", help="cyclic order of cursor jumps")
     _add_params_args(sp, tol_default=1e-9)
-    sp.add_argument("--method", choices=["simulate", "phases"], default="simulate")
     sp.set_defaults(fn=_cmd_cyclic)
 
     sp = sub.add_parser("extensions", help="circular extensions of a graph's jump order")

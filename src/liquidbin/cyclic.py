@@ -18,10 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import DCGraph, b_map, connected_component_of_one
-from .dynamics import _CarSim
 from .params import Number, Params
 from .regions import classify, solve_system
-from .stationary import StationaryProfile, canonical_configuration
 
 
 class DisconnectedRegionError(ValueError):
@@ -204,20 +202,19 @@ def _order_from_times(
 def jump_order(
     params: Params,
     tol: Number = 1e-9,
-    method: str = "simulate",
     graph: DCGraph | None = None,
     z: tuple[Number, ...] | None = None,
 ) -> CyclicOrder:
-    """Cyclic order in which the cursors jump in the stationary regime.
+    """Cyclic order in which the cursors jump in the stationary regime,
+    read from the stationary breakpoint times reduced mod the period.
 
-    "simulate" builds the canonical stationary configuration and replays
-    one full period, reading the sign crossings off the event log;
-    "phases" reduces the stationary breakpoint times mod the period.
-    Both raise WallTieError on simultaneous jumps and reject parameters
-    whose stationary graph is disconnected (the graph rides the error).
-    Without a graph, the parameters are classified here, and a float report
-    that is ambiguous (within tol of a wall) raises WallTieError in place of
-    the order its graph gives, which may not be the region's.
+    Without a graph, the parameters are classified here (tol as in
+    classify); with one, z defaults to its solution.  Parameters whose
+    stationary graph is disconnected are rejected (the graph rides the
+    error).  WallTieError is raised on simultaneous jumps, and on a float
+    report that is ambiguous (within tol of a wall), where the order of
+    its graph may not be the region's.  The tests check the order against
+    a replay of one period in the car model.
     """
     ambiguous = False
     if graph is None:
@@ -226,32 +223,10 @@ def jump_order(
     elif z is None:
         z = solve_system(graph, params)
     _require_connected(graph)
-    exact = params.is_exact
-    if method == "phases":
-        times, period = [(u, i + 1) for i, u in enumerate(_phases(z))], z[0]
-    elif method == "simulate":
-        profile = StationaryProfile(z)
-        horizon = profile.period if exact else profile.period * (1 + 1e-9)
-        sim = _CarSim(canonical_configuration(profile, params), params)
-        # a stationary period crosses each sign once, the float overshoot once more
-        sim.run(horizon, max_events=2 * params.n)
-        first: dict[int, Number] = {}
-        for ev in sim.event_log():
-            if ev.index in first:
-                if not exact and abs(ev.time - first[ev.index]) > 1e-9 * float(profile.period):
-                    continue  # next period's crossing caught by the float overshoot
-                raise WallTieError(f"cursor {ev.index} recorded two jumps in one period")
-            first[ev.index] = ev.time
-        if set(first) != set(range(1, params.n + 1)):
-            raise WallTieError(f"period replay saw jumps {sorted(first)} instead of all cursors")
-        times, period = [(t, i) for i, t in first.items()], profile.period
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    # checked last, so a disconnected graph or a replay that is not
-    # stationary keeps its own error (and exit code)
     if ambiguous:
         raise WallTieError(f"parameters within tol={tol} of a wall: the jump order is undefined there")
-    return _order_from_times(times, period, exact)
+    times = [(u, i + 1) for i, u in enumerate(_phases(z))]
+    return _order_from_times(times, z[0], params.is_exact)
 
 
 @dataclass(frozen=True)
@@ -321,7 +296,7 @@ def conjecture_probe(g: DCGraph, budget: int, seed: int, tol: Number = 1e-9) -> 
             continue
         hits += 1
         try:
-            order = jump_order(params, tol=tol, method="phases", graph=g, z=report.z)
+            order = jump_order(params, tol=tol, graph=g, z=report.z)
         except WallTieError:
             skipped += 1
             continue

@@ -165,10 +165,10 @@ class _EventSim:
                 batch.append(e)
         return dt, batch
 
-    def run(self, duration: Number, max_events: int | None = None) -> None:
+    def run(self, duration: Number) -> None:
         """Advance by duration; events landing exactly at the final
-        instant are applied.  ValueError after more than max_events."""
-        remaining, applied = duration, 0
+        instant are applied."""
+        remaining = duration
         while remaining > 0:
             nxt = self.next_event()
             if nxt is None or nxt[0] > remaining:
@@ -180,9 +180,6 @@ class _EventSim:
             self.t = self.t + dt
             remaining = remaining - dt
             self._apply(batch)
-            applied += len(batch)
-            if max_events is not None and applied > max_events:
-                raise ValueError(f"more than {max_events} events within a duration of {duration}")
 
 
 class _CarSim(_EventSim):

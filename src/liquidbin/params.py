@@ -140,7 +140,10 @@ class Params:
                 return Fraction(v) if isinstance(v, int) else Fraction(str(v))
             return v
         try:
-            return cls(tuple(read(v) for v in obj["a"]), tuple(read(v) for v in obj["p"]))
+            a, p = obj["a"], obj["p"]
+            if not (isinstance(a, list) and isinstance(p, list)):
+                raise TypeError("a and p must be lists")
+            return cls(tuple(read(v) for v in a), tuple(read(v) for v in p))
         except (KeyError, TypeError) as exc:
             raise ParamsError(f"bad params object: {obj!r}") from exc
 

@@ -26,6 +26,12 @@ class ConvergenceError(RuntimeError):
     """Iteration cap exceeded in floating-point mode."""
 
 
+# a float threshold below one ulp of the breakpoint times is never met,
+# and the cap from lambda alone can then allow 10^8 iterations and more;
+# 10^5 take about a second at N = 4
+MAX_ITERATIONS = 10**5
+
+
 @dataclass(frozen=True)
 class StationaryProfile:
     """Sojourn times z_i of a stationary car between signs i-1 and i."""
@@ -151,9 +157,10 @@ def fixed_point_solve(
     The estimate, reported as certified_error, is not a bound: the
     breakpoint map need not contract the sup norm by lambda, so it can
     fall below the true error of the returned breakpoint times, even to
-    0.0.  stationary_profile gives a certified bound.  In floating point
-    a stalled iteration (differences no longer shrinking) raises
-    ConvergenceError.
+    0.0.  stationary_profile gives a certified bound.  ConvergenceError
+    is raised after 10 ceil(log tol / log lambda) + 100 iterations,
+    MAX_ITERATIONS or max_iterations, whichever is fewest, and when the
+    differences stop shrinking for 64 steps in a row.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -164,7 +171,7 @@ def fixed_point_solve(
         s = iterate_breakpoints(params, s)
         return SolveReport(_profile_from(s), 1, 0 * s[0], lam)
     threshold = tol * (1 - lam) / lam
-    cap = 10 * math.ceil(math.log(float(tol)) / math.log(float(lam))) + 100
+    cap = min(10 * math.ceil(math.log(float(tol)) / math.log(float(lam))) + 100, MAX_ITERATIONS)
     if max_iterations is not None:
         cap = min(cap, max_iterations)
     iterations = 0
@@ -181,7 +188,8 @@ def fixed_point_solve(
         prev_diff = diff
         if iterations >= cap or stalled >= 64:
             raise ConvergenceError(
-                f"no certificate after {iterations} iterations (lambda = {float(lam):.6g})"
+                f"no certificate after {iterations} of at most {cap} iterations"
+                f" (lambda = {float(lam):.6g})"
             )
 
 

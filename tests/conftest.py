@@ -8,8 +8,10 @@ import pytest
 from hypothesis import strategies as st
 
 from liquidbin import combinatorics, regions
-from liquidbin.dynamics import BinConfig
+from liquidbin.cyclic import CyclicOrder, DisconnectedRegionError, WallTieError, _order_from_times
+from liquidbin.dynamics import BinConfig, _CarSim
 from liquidbin.params import Params
+from liquidbin.stationary import StationaryProfile, canonical_configuration
 
 
 @pytest.fixture
@@ -20,6 +22,36 @@ def forbid_enumeration(monkeypatch):
 
     monkeypatch.setattr(regions, "enumerate_dc", refuse)
     monkeypatch.setattr(combinatorics, "enumerate_dc", refuse)
+
+
+def replay_jump_order(params: Params, graph: combinatorics.DCGraph, z) -> CyclicOrder:
+    """Jump order of the stationary profile z of graph, read off a replay
+    of one period in the car model: the oracle for cyclic.jump_order, which
+    reduces the breakpoint times mod the period instead.
+
+    The canonical stationary configuration is advanced by one period and
+    each sign's first crossing is its cursor's jump.  In float mode the
+    replay runs 1e-9 of a period past its end, so a jump at the period
+    boundary is not lost; a second crossing of a sign farther than that
+    from its first belongs to the next period and is ignored.
+    """
+    if combinatorics.connected_component_of_one(graph).n != graph.n:
+        raise DisconnectedRegionError(graph)
+    exact = params.is_exact
+    profile = StationaryProfile(z)
+    horizon = profile.period if exact else profile.period * (1 + 1e-9)
+    sim = _CarSim(canonical_configuration(profile, params), params)
+    sim.run(horizon)
+    first = {}
+    for ev in sim.event_log():
+        if ev.index in first:
+            if not exact and abs(ev.time - first[ev.index]) > 1e-9 * float(profile.period):
+                continue  # next period's crossing caught by the float overshoot
+            raise WallTieError(f"cursor {ev.index} recorded two jumps in one period")
+        first[ev.index] = ev.time
+    if set(first) != set(range(1, params.n + 1)):
+        raise WallTieError(f"period replay saw jumps {sorted(first)} instead of all cursors")
+    return _order_from_times([(t, i) for i, t in first.items()], profile.period, exact)
 
 
 def random_rational_params(

@@ -7,7 +7,13 @@ from math import factorial
 
 import numpy as np
 
-from conftest import random_bin_config, random_duration, random_mild_params, random_rational_params
+from conftest import (
+    random_bin_config,
+    random_duration,
+    random_mild_params,
+    random_rational_params,
+    replay_jump_order,
+)
 from liquidbin.combinatorics import (
     DCGraph,
     adjacency_mm_condition,
@@ -248,6 +254,7 @@ def test_criterion_9_cyclic_orders():
                 except WallTieError:
                     continue
                 assert f_map(order) == graph
+                assert order == replay_jump_order(params, graph, solve_system(graph, params))
                 hits += 1
 
         # every fiber element is realized within the sampling budget

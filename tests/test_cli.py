@@ -140,16 +140,51 @@ def test_sweep_point_beyond_the_float_range_is_an_error_row(capsys):
     assert row["graph_id"] == "" and "float range" in row["error"]
 
 
-def test_cyclic_replay_that_is_not_stationary_exits_2(capsys):
+def test_cyclic_ambiguous_report_far_from_stationary_exits_3(capsys):
     # the float report is ambiguous here and its period is off by 30
-    # orders of magnitude: a replay of it would take about 1e29 events
-    code, out, err = run_cli(
-        capsys, "cyclic",
+    # orders of magnitude; classify exits 3 on it, and so does cyclic
+    argv = [
         "--a", "9.368367786357027e-161,2.1338841875828308e-128,7.194459857735867e-18",
         "--p", "9.73188109788971e-256,2.11300772664839e-31,1.3886215430985568e+50",
-    )
-    assert code == EXIT_BAD_INPUT
-    assert out == "" and err.startswith("error: more than 6 events")
+    ]
+    assert run_cli(capsys, "classify", *argv)[0] == EXIT_WALL
+    code, out, err = run_cli(capsys, "cyclic", *argv)
+    assert code == EXIT_WALL
+    assert out == "" and err.startswith("error:")
+
+
+def test_cyclic_exits_3_wherever_classify_does(capsys):
+    # seeded float points over 10^-3..10^3 and 10^-300..10^300, at the
+    # default tol and at 0.1: where classify reports a wall, cyclic prints
+    # no order, unless the graph is disconnected or the float range is left
+    rng = np.random.default_rng(13)
+    cases = []
+    for k in range(300):
+        n = int(rng.integers(1, 7))
+        span = 3 if k % 2 else 300
+        a = sorted((10.0 ** rng.uniform(-span, span, n)).tolist())
+        p = (10.0 ** rng.uniform(-span, span, n)).tolist()
+        cases.append((a, p, ["--tol", "0.1"] if k % 4 >= 2 else []))
+    # two ambiguous points whose float profile is far from stationary
+    cases += [
+        ([5.8101784828840416e-58, 2.4842981036110204e-36, 6.075312071081213e+27],
+         [4.278087690407553e+22, 6.703650257493241e+74, 1.4354904017962119e+122], []),
+        ([1.27705879380463e-199, 1.2587245741214937e-182, 9.226264790206503e+197],
+         [2.008696192047241e+102, 7.916571598568132e+139, 1.741770833616471e+170], []),
+    ]
+    walls = 0
+    for a, p, tol in cases:
+        argv = ["--a", ",".join(map(repr, a)), "--p", ",".join(map(repr, p)), *tol]
+        if run_cli(capsys, "classify", *argv)[0] != EXIT_WALL:
+            continue
+        walls += 1
+        code, out, err = run_cli(capsys, "cyclic", *argv)
+        assert out == "", argv
+        if code == EXIT_BAD_INPUT:
+            assert "not connected" in err or "float range" in err, argv
+        else:
+            assert code == EXIT_WALL and err.startswith("error:"), argv
+    assert walls >= 20, walls
 
 
 def test_extreme_parameters_give_an_exit_code_and_strict_json(capsys):
@@ -354,10 +389,22 @@ def test_extensions_command(tmp_path, capsys):
         (["extensions", "--graph"], {"n": 3, "edges": [["1", "2"]]}),
         (["extensions", "--graph"], {"n": 3, "edges": ["23"]}),
         (["extensions", "--graph"], {"n": 3, "edges": [[1, 2, 3]]}),
+        (["simulate", "--t", "1", "--params"],
+         {"a": "123", "p": [1, 1, 1], "bins": {"front": 3, "volumes": [1, 1, 1, 1]}}),
+        (["simulate", "--t", "1", "--params"],
+         {"a": [1, 2, 3], "p": "111", "bins": {"front": 3, "volumes": [1, 1, 1, 1]}}),
+        (["simulate", "--t", "1", "--params"],
+         {"a": [1, 2], "p": [1, 1], "bins": {"front": 2.7, "volumes": [1, 1, 1]}}),
+        (["simulate", "--t", "1", "--params"],
+         {"a": [1, 2], "p": [1, 1], "bins": {"front": True, "volumes": [1, 1, 1]}}),
+        (["simulate", "--t", "1", "--params"],
+         {"a": [1, 2], "p": [1, 1], "bins": {"front": "2", "volumes": [1, 1, 1]}}),
     ],
     ids=["graph-without-edges", "graph-without-n", "graph-not-object", "bins-without-volumes",
          "bins-volumes-not-list", "bins-volumes-string", "graph-coerced", "graph-float-n",
-         "graph-bool-n", "graph-string-vertex", "graph-string-edge", "graph-three-vertex-edge"],
+         "graph-bool-n", "graph-string-vertex", "graph-string-edge", "graph-three-vertex-edge",
+         "params-a-string", "params-p-string", "bins-front-float", "bins-front-bool",
+         "bins-front-string"],
 )
 def test_malformed_input_file_reported(tmp_path, capsys, argv, obj):
     path = tmp_path / "input.json"

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,6 +12,8 @@ from liquidbin.dynamics import CarConfig, sigma, step_cars
 from liquidbin.params import Params
 from liquidbin.regions import classify, solve_system
 from liquidbin.stationary import (
+    MAX_ITERATIONS,
+    ConvergenceError,
     StationaryProfile,
     Trajectory,
     bounding_profiles,
@@ -281,3 +284,18 @@ def test_stall_raises_instead_of_false_certificate():
     params = Params((1.0, 2.0), (1e-4, 1.0))
     with _pytest.raises(ConvergenceError):
         fixed_point_solve(params, 1e-15, max_iterations=20000)
+
+
+def test_iteration_budget_ends_a_threshold_below_one_ulp():
+    # tol (1 - lambda) / lambda is about 3e-17, below one ulp of the
+    # breakpoint times, so it is never met, and the differences do not
+    # stall for 64 steps in a row; the lambda formula alone allows 2.76e8
+    # iterations
+    params = Params(
+        (26.96206639027359, 30.59348207382051, 34.34226088500357, 34.70852566246669),
+        (3.200071256816437e-05, 7.509788757169699, 0.020469711108697417, 29.225172763122576),
+    )
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match=f"at most {MAX_ITERATIONS} iterations"):
+        fixed_point_solve(params, 1e-12 * (1 + params.a[-1]))
+    assert time.perf_counter() - start < 5
