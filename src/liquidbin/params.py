@@ -134,6 +134,8 @@ class Params:
     @classmethod
     def from_json_dict(cls, obj: dict, exact: bool | None = None) -> "Params":
         def read(v) -> Number:
+            if isinstance(v, bool):  # JSON true/false: an int to Python, not a number here
+                raise TypeError("parameter values must be numbers")
             if isinstance(v, str):
                 return parse_number(v, exact is not False)
             if exact:

@@ -20,13 +20,10 @@ from .combinatorics import (
     DCGraph,
     DyckPath,
     Edge,
-    addable_edges,
     all_pairs,
-    b_map,
     dc_to_dyck,
     enumerate_dc,
     graph_index,
-    maximal_edges,
     regions_adjacent,
 )
 from ._parallel import parallel_map
@@ -34,7 +31,7 @@ from .params import Number, Params, ParamsError, parse_number
 
 
 class _Plan(NamedTuple):
-    """Index structure of a graph's linear system (see _plan)."""
+    """Index structure of a graph's linear system (see _plan_b)."""
 
     b: tuple[int, ...]  # b map, index 0..N
     # i -> (h, mid) per edge (i, h) whose weight
@@ -44,6 +41,9 @@ class _Plan(NamedTuple):
     # gammas[i] with h == j or j reachable from h, increasing
     paths: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
     rated: tuple[tuple[int, ...], ...]  # i -> i and the j of paths[i] with b(j) != b(j-1)
+    # the O(N) walls (i, j, is_maximal): the maximal edges (i, b(i)) and
+    # the addable pairs (i, b(i) + 1), by increasing i
+    walls: tuple[tuple[int, int, bool], ...]
 
 
 @lru_cache(maxsize=4096)
@@ -55,10 +55,19 @@ def _shared(t: tuple) -> tuple:
 
 @lru_cache(maxsize=4096)
 def _plan(g: DCGraph) -> _Plan:
+    """The plan of g's b map (see _plan_b); b(0) = 1 by convention."""
+    b = [1, *range(1, g.n + 1)]
+    for (i, j) in g.edges:
+        b[i] = max(b[i], j)
+    return _plan_b(tuple(b))
+
+
+@lru_cache(maxsize=4096)
+def _plan_b(b: tuple[int, ...]) -> _Plan:
     """The one source of path weights: which can be nonzero, from which terms.
 
-    Built once per graph (keyed by value: the walk builds a new DCGraph
-    at every step), so a solve keeps only the arithmetic.  The terms left
+    Built once per b map, which fixes the graph (the walk moves from b map
+    to b map), so a solve keeps only the arithmetic.  The terms left
     out are exact zeros whatever the parameters: the weight of edge
     (i, h) is (q_{b(i)} - q_{max(h-1, b(i-1))}) / q_{b(i-1)}, which
     vanishes when the two indices agree (q is finite: Params rejects a
@@ -70,9 +79,12 @@ def _plan(g: DCGraph) -> _Plan:
     sums, except where a weight overflows to inf: there the dense sums
     held 0 * inf = nan terms, and a solution that already holds nan or
     inf can differ in its other components.
+
+    The walls come from b alone: (i, b(i)) is maximal when b(i) > i and
+    b(i-1) < b(i), and (i, b(i) + 1) is addable when b(i) < N and
+    b(i) = i or b(i+1) > b(i).
     """
-    n = g.n
-    b = tuple(b_map(g, i) for i in range(n + 1))
+    n = len(b) - 1
     gammas: list = [()] * (n + 1)
     paths: list = [()] * (n + 1)
     rated: list = [()] * (n + 1)
@@ -87,7 +99,21 @@ def _plan(g: DCGraph) -> _Plan:
         reach[i] = tuple(sorted(heads))
         paths[i] = _shared(tuple(_shared((j, _shared(tuple(heads[j])))) for j in reach[i]))
         rated[i] = _shared(tuple(j for j in (i, *reach[i]) if b[j] != b[j - 1]))
-    return _Plan(b, tuple(gammas), tuple(paths), tuple(rated))
+    walls = []
+    for i in range(1, n + 1):
+        if b[i] > i and b[i - 1] < b[i]:
+            walls.append((i, b[i], True))
+        if b[i] < n and (b[i] == i or b[i + 1] > b[i]):
+            walls.append((i, b[i] + 1, False))
+    return _Plan(b, tuple(gammas), tuple(paths), tuple(rated), tuple(walls))
+
+
+@lru_cache(maxsize=4096)
+def _graph_of(b: tuple[int, ...]) -> DCGraph:
+    """The DC graph with b map b, its edges put in sorted (as in
+    dyck_to_dc), so it prints the same however it was reached."""
+    n = len(b) - 1
+    return DCGraph(n, frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, b[i] + 1)))
 
 
 def _path_weights(plan: _Plan, q: Sequence[Number]) -> list[dict[int, Number]]:
@@ -207,10 +233,6 @@ def float_solution(z: Sequence[Number]) -> tuple[float, ...]:
                      "must be finite, |x| < 1.8e308): use --exact")
 
 
-def _zsum(z: Sequence[Number], i: int, j: int) -> Number:
-    return sum(z[i:j])
-
-
 def in_region(g: DCGraph, params: Params, z: Sequence[Number] | None = None) -> bool:
     """Exact membership test: strict > on maximal edges, <= on addable ones."""
     ok, _ = in_region_report(g, params, 0, z)
@@ -236,20 +258,13 @@ def _region_gaps(g: DCGraph, z: Sequence[Number], tol: Number) -> tuple[bool, fr
     flags = set()
     ok = True
     violation = 0
-    for (i, j) in maximal_edges(g):
-        gap = z1 - _zsum(z, i, j)
-        violation = max(violation, -gap)
+    for (i, j, is_maximal) in _plan(g).walls:
+        gap = z1 - sum(z[i:j])
+        violation = max(violation, -gap if is_maximal else gap)
         if abs(gap) <= tau:
             flags.add((i, j))
-            ok = False
-        elif not gap > 0:
-            ok = False
-    for (i, j) in addable_edges(g):
-        gap = z1 - _zsum(z, i, j)
-        violation = max(violation, gap)
-        if abs(gap) <= tau:
-            flags.add((i, j))
-        elif gap > 0:
+            ok = ok and not is_maximal
+        elif (gap > 0) != is_maximal:
             ok = False
     return ok, frozenset(flags), violation
 
@@ -317,10 +332,13 @@ def find_region(params: Params, tol: Number = 0) -> tuple[DCGraph, frozenset[Edg
 
 
 def _toggles(g: DCGraph) -> Iterator[DCGraph]:
-    """The graphs one edge from g: a maximal edge removed or an addable
-    pair added (any other single toggle breaks downward closure)."""
-    yield from (g.without_edge(e) for e in maximal_edges(g))
-    yield from (g.with_edge(e) for e in addable_edges(g))
+    """The graphs one edge from g: a maximal edge (i, b(i)) removed or an
+    addable pair (i, b(i) + 1) added, i.e. b(i) moved by one (any other
+    single toggle breaks downward closure)."""
+    plan = _plan(g)
+    b = plan.b
+    for (i, j, is_maximal) in plan.walls:
+        yield _graph_of((*b[:i], j - 1 if is_maximal else j, *b[i + 1:]))
 
 
 def _proposal_first(proposal: DCGraph) -> Iterator[DCGraph]:
@@ -341,25 +359,33 @@ def _proposal_first(proposal: DCGraph) -> Iterator[DCGraph]:
     yield from sorted(far, key=lambda g: len(g.edges ^ proposal.edges))
 
 
-def _gap_edges(z: Sequence[Number], margin: Number) -> frozenset[Edge]:
-    """The pairs (i, j) whose sub-pairs (i', j') all have
-    z_1 - (z_{i'+1} + ... + z_{j'}) > margin: the largest downward-closed
-    set of pairs above the margin, which is all of them when z > 0.
+def _gap_b(z: Sequence[Number], margin: Number) -> tuple[int, ...]:
+    """b map of the largest downward-closed set of pairs (i, j) with
+    z_1 - (z_{i+1} + ... + z_j) > margin: all pairs when z > 0.
 
-    By increasing length, a pair is kept when it is above the margin and
-    its two immediate children (i+1, j) and (i, j-1) are kept: every
-    sub-pair is reached from it by such steps.  O(N^2) membership tests.
+    A pair is in that set when it is above the margin and its immediate
+    children (i+1, j) and (i, j-1) are (every sub-pair is reached from it
+    by such steps), so row i is the run of pairs above the margin from
+    (i, i+1) up to at most b(i+1).  Going down i, only those pairs are
+    summed: at most O(N^2) gaps, each z[0] - sum(z[i:j]) as the wall
+    tests sum it.
     """
     n = len(z)
-    up = {(i, j) for (i, j) in all_pairs(n) if z[0] - _zsum(z, i, j) > margin}
-    keep = set()
-    for length in range(1, n):
-        for i in range(1, n - length + 1):
-            j = i + length
-            if (i, j) in up and (length == 1 or (i + 1, j) in keep and (i, j - 1) in keep):
-                keep.add((i, j))
-    # built from `up`, as a filter, so the frozenset prints in the same order
-    return frozenset(e for e in up if e in keep)
+    b = [1] * (n + 1)
+    b[n] = n
+    for i in range(n - 1, 0, -1):
+        j = i
+        while j < b[i + 1] and z[0] - sum(z[i:j + 1]) > margin:
+            j += 1
+        b[i] = j
+    return tuple(b)
+
+
+def _holds(walls: Sequence[tuple[int, int, bool]], z: Sequence[Number]) -> bool:
+    """_region_gaps(g, z, 0)'s verdict: every maximal gap > 0 and no
+    addable gap > 0, stopping at the first wall on the wrong side."""
+    z1 = z[0]
+    return all((z1 - sum(z[i:j]) > 0) == is_maximal for (i, j, is_maximal) in walls)
 
 
 def _walk(params: Params) -> tuple[DCGraph, tuple[Number, ...]]:
@@ -371,14 +397,19 @@ def _walk(params: Params) -> tuple[DCGraph, tuple[Number, ...]]:
     once the walk comes back to a graph, with its solution.  Each step
     costs one closed-form solve, however slowly the fixed-point iteration
     would contract (it needs about q_N/q_1 steps).
+
+    The walk runs on b maps, which fix the graphs: a step costs one
+    solve, O(N) wall tests and at most O(N^2) pair sums (see _gap_b),
+    and its graph and plan come from caches keyed by the b map.
     """
-    g, seen = DCGraph.empty(params.n), set()
+    b, seen = (1, *range(1, params.n + 1)), set()  # the empty graph
     while True:
+        g = _graph_of(b)
         z = solve_system(g, params)
-        if g in seen or _region_gaps(g, z, 0)[0]:
+        if b in seen or _holds(_plan_b(b).walls, z):
             return g, z
-        seen.add(g)
-        g = DCGraph(params.n, _gap_edges(z, 0))
+        seen.add(b)
+        b = _gap_b(z, 0)
 
 
 def classify(params: Params, tol: Number = 1e-9) -> RegionReport:
@@ -392,7 +423,7 @@ def classify(params: Params, tol: Number = 1e-9) -> RegionReport:
     """
     exact = params.is_exact
     g, z = _walk(params.as_float() if exact else params)
-    proposal = DCGraph(params.n, _gap_edges(z, max(tol, 1e-12) * z[0]))
+    proposal = _graph_of(_gap_b(z, max(tol, 1e-12) * z[0]))
     if exact:  # the float walk only proposes: the scan solves exactly
         return _scan(_proposal_first(proposal), params, 0)
     return _scan(_proposal_first(proposal), params, tol, solved=(g, z))
@@ -409,13 +440,13 @@ def boundary_gap(g: DCGraph, params: Params, e: Edge) -> BoundaryGap:
     e, plus its rescaled variant whose denominator strips the z_1 feedback;
     both vanish together and share their strict sign."""
     i, j = e
-    if e not in maximal_edges(g) and e not in addable_edges(g):
+    plan = _plan(g)
+    if e not in {w[:2] for w in plan.walls}:
         raise ValueError(f"{e} is not a wall edge (neither maximal nor addable) for this graph")
     q = params.q
-    plan = _plan(g)
     b, rows = plan.b, _path_weights(plan, q)
     z = solve_system(g, params)
-    zij = _zsum(z, i, j)
+    zij = sum(z[i:j])
     # one flat sum in the dense k-then-l order: per-k subtotals round differently
     denom = 1 + sum(
         rows[k][l] * (q[b[l]] - q[b[l - 1]]) / q[b[l - 1]]

@@ -54,6 +54,42 @@ def replay_jump_order(params: Params, graph: combinatorics.DCGraph, z) -> Cyclic
     return _order_from_times([(t, i) for i, t in first.items()], profile.period, exact)
 
 
+def gap_edges(z, margin) -> frozenset:
+    """The pairs (i, j) whose sub-pairs (i', j') all have
+    z_1 - (z_{i'+1} + ... + z_{j'}) > margin, as a pair set: the oracle
+    for regions._gap_b, which builds the b map of this set directly.
+
+    By increasing length, a pair is kept when it is above the margin and
+    its two immediate children (i+1, j) and (i, j-1) are kept.
+    """
+    n = len(z)
+    up = {(i, j) for (i, j) in combinatorics.all_pairs(n) if z[0] - sum(z[i:j]) > margin}
+    keep = set()
+    for length in range(1, n):
+        for i in range(1, n - length + 1):
+            j = i + length
+            if (i, j) in up and (length == 1 or (i + 1, j) in keep and (i, j - 1) in keep):
+                keep.add((i, j))
+    return frozenset(keep)
+
+
+def reference_walk(params: Params) -> tuple[combinatorics.DCGraph, tuple]:
+    """regions._walk on DCGraph values: the oracle for the walk on b maps.
+
+    Each step tests the walls from the edge sets m(G) and M(G) and moves
+    to the graph of gap_edges(z, 0).
+    """
+    g, seen = combinatorics.DCGraph.empty(params.n), set()
+    while True:
+        z = regions.solve_system(g, params)
+        gap = {(i, j): z[0] - sum(z[i:j]) for (i, j) in combinatorics.all_pairs(params.n)}
+        if g in seen or (all(gap[e] > 0 for e in combinatorics.maximal_edges(g))
+                         and not any(gap[e] > 0 for e in combinatorics.addable_edges(g))):
+            return g, z
+        seen.add(g)
+        g = combinatorics.DCGraph(params.n, gap_edges(z, 0))
+
+
 def random_rational_params(
     rng: random.Random, n: int, max_num: int = 8, max_den: int = 4
 ) -> Params:

@@ -394,6 +394,14 @@ def test_extensions_command(tmp_path, capsys):
         (["simulate", "--t", "1", "--params"],
          {"a": [1, 2, 3], "p": "111", "bins": {"front": 3, "volumes": [1, 1, 1, 1]}}),
         (["simulate", "--t", "1", "--params"],
+         {"a": [True, 2], "p": [1, 1], "bins": {"front": 2, "volumes": [1, 1, 1]}}),
+        (["simulate", "--t", "1", "--params"],
+         {"a": [1, 2], "p": [True, 1], "bins": {"front": 2, "volumes": [1, 1, 1]}}),
+        (["simulate", "--t", "1", "--exact", "--params"],
+         {"a": [True, 2], "p": [1, 1], "bins": {"front": 2, "volumes": [1, 1, 1]}}),
+        (["simulate", "--t", "1", "--exact", "--params"],
+         {"a": [1, 2], "p": [True, 1], "bins": {"front": 2, "volumes": [1, 1, 1]}}),
+        (["simulate", "--t", "1", "--params"],
          {"a": [1, 2], "p": [1, 1], "bins": {"front": 2.7, "volumes": [1, 1, 1]}}),
         (["simulate", "--t", "1", "--params"],
          {"a": [1, 2], "p": [1, 1], "bins": {"front": True, "volumes": [1, 1, 1]}}),
@@ -403,7 +411,8 @@ def test_extensions_command(tmp_path, capsys):
     ids=["graph-without-edges", "graph-without-n", "graph-not-object", "bins-without-volumes",
          "bins-volumes-not-list", "bins-volumes-string", "graph-coerced", "graph-float-n",
          "graph-bool-n", "graph-string-vertex", "graph-string-edge", "graph-three-vertex-edge",
-         "params-a-string", "params-p-string", "bins-front-float", "bins-front-bool",
+         "params-a-string", "params-p-string", "params-a-bool", "params-p-bool",
+         "params-a-bool-exact", "params-p-bool-exact", "bins-front-float", "bins-front-bool",
          "bins-front-string"],
 )
 def test_malformed_input_file_reported(tmp_path, capsys, argv, obj):

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dyck_words, random_rational_params, tied_phase_thresholds
+from conftest import (
+    dyck_words,
+    gap_edges,
+    random_rational_params,
+    reference_walk,
+    tied_phase_thresholds,
+)
 from liquidbin import regions
 from liquidbin.combinatorics import (
     DCGraph,
@@ -15,6 +21,7 @@ from liquidbin.combinatorics import (
     all_pairs,
     b_map,
     connected_component_of_one,
+    dc_to_dyck,
     dyck_to_dc,
     enumerate_dc,
     graph_index,
@@ -541,7 +548,7 @@ def _decimal_near_wall(rng: random.Random, n: int) -> Params:
 def _proposal(params: Params) -> DCGraph:
     # the graph classify tries first at tol 0
     _, z = regions._walk(params.as_float())
-    return DCGraph(params.n, regions._gap_edges(z, 1e-12 * z[0]))
+    return regions._graph_of(regions._gap_b(z, 1e-12 * z[0]))
 
 
 def test_proposal_layers_follow_the_distance_sort():
@@ -754,7 +761,7 @@ def test_plan_keeps_zero_weights_out_of_the_sums():
 
 def gap_edges_reference(z, margin):
     """The all-sub-pairs filter the immediate-children closure replaced."""
-    up = {(i, j) for (i, j) in all_pairs(len(z)) if z[0] - regions._zsum(z, i, j) > margin}
+    up = {(i, j) for (i, j) in all_pairs(len(z)) if z[0] - sum(z[i:j]) > margin}
     return frozenset(
         (i, j) for (i, j) in up
         if all((i2, j2) in up for i2 in range(i, j) for j2 in range(i2 + 1, j + 1))
@@ -762,24 +769,53 @@ def gap_edges_reference(z, margin):
 
 
 def test_gap_edges_closure_matches_the_sub_pair_filter():
-    """Same set and the same frozenset iteration order, on vectors with
-    negative entries (where the closure removes pairs) and on walk
+    """The b map the walk steps to is that of the pair-set closure, which
+    is the sub-pair filter: on vectors with negative, zero and nan
+    entries (where the closure removes pairs), margins +-0, and on walk
     solutions."""
     rng = random.Random(11)
     cases = []
     for _ in range(2000):
         n = rng.randint(1, 9)
-        z = [rng.uniform(-1, 2) for _ in range(n)]
-        cases.append((z, rng.choice([0, 0.1, 0.5, 1.0])))
+        z = [rng.choice([rng.uniform(-1, 2), 0.0, -0.0, float("nan")]) if rng.random() < 0.2
+             else rng.uniform(-1, 2) for _ in range(n)]
+        cases.append((z, rng.choice([0, 0.0, -0.0, 0.1, 0.5, 1.0])))
     for params in _float_and_exact_points(rng, 8, 20):
         cases.append((regions._walk(params.as_float())[1], 0))
-    removed = 0
+    removed = nan = 0
     for z, margin in cases:
-        got, want = regions._gap_edges(z, margin), gap_edges_reference(z, margin)
-        assert got == want and list(got) == list(want)
-        up = {(i, j) for (i, j) in all_pairs(len(z)) if z[0] - regions._zsum(z, i, j) > margin}
-        removed += len(up) - len(got)
-    assert removed  # the closure step was exercised
+        n = len(z)
+        want = gap_edges(z, margin)
+        assert want == gap_edges_reference(z, margin)
+        assert regions._gap_b(z, margin) == tuple(b_map(DCGraph(n, want), i) for i in range(n + 1))
+        up = {(i, j) for (i, j) in all_pairs(n) if z[0] - sum(z[i:j]) > margin}
+        removed += len(up) - len(want)
+        nan += any(x != x for x in z) and bool(want)
+    assert removed and nan  # the closure step and nan gaps were exercised
+
+
+def test_walk_on_b_maps_matches_the_graph_walk():
+    """Same graph and repr-equal z as the walk on DCGraph values, on
+    log-uniform points over 10^+-2, 10^+-5 and 10^+-300 at N = 1..12
+    and on exact wall points."""
+    rng = np.random.default_rng(14)
+    points = []
+    for k in range(2040):
+        n = 1 + k % 12
+        span = (2, 5, 300)[k % 3]
+        a = sorted((10.0 ** rng.uniform(-span, span, n)).tolist())
+        p = (10.0 ** rng.uniform(-span, span, n)).tolist()
+        points.append(Params(tuple(a), tuple(p)))
+    wall_rng = random.Random(14)
+    for n in (5, 8, 10, 11):
+        for _ in range(10):
+            points.append(Params(tied_phase_thresholds(wall_rng, n), (1,) * n).as_float())
+    for params in points:
+        g, z = regions._walk(params)
+        g_ref, z_ref = reference_walk(params)
+        assert g == g_ref and repr(z) == repr(z_ref), params
+        # edges put in sorted, so the graph prints as dyck_to_dc's does
+        assert list(g.edges) == list(dyck_to_dc(dc_to_dyck(g)).edges)
 
 
 @pytest.mark.parametrize("params, tol, iterations, certified_error, z", [
