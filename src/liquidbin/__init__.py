@@ -11,6 +11,7 @@ from .combinatorics import (
     DyckPath,
     addable_edges,
     b_map,
+    b_to_dc,
     catalan,
     connected_component_of_one,
     dc_to_dyck,

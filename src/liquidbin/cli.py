@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from functools import partial
 
@@ -140,13 +141,17 @@ def _parse_range(token: str, exact: bool) -> tuple[str, list]:
     if len(parts) != 3:
         raise ParamsError(f"vary spec {token!r} must look like name=start:stop:step")
     start, stop, step = (parse_number(s, exact) for s in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ParamsError(f"vary start, stop and step must be finite in {token!r}")
     if not step > 0:
         raise ParamsError(f"vary step must be positive in {token!r}")
     values = []
     v = start
     while v <= stop + step / 2:
         values.append(v)
-        v = v + step
+        v, prev = v + step, v
+        if v == prev:  # a float step below half an ulp of v
+            raise ParamsError(f"vary step {parts[2]} does not advance past {prev!r} in {token!r}")
     return name.strip(), values
 
 
@@ -160,7 +165,10 @@ def _cmd_sweep(args) -> int:
             fixed[name.strip()] = value.strip()
     axes = [_parse_range(tok, args.exact) for chunk in (args.vary or []) for tok in chunk.split(",")]
     names = set(fixed) | {n for n, _ in axes}
-    n = max(int(name[1:]) for name in names if name[1:].isdigit())
+    n = max((int(name[1:]) for name in names if name[:1] in ("a", "p") and name[1:].isdigit()), default=None)
+    if n is None:
+        raise ParamsError(f"sweep coordinates {sorted(names)} name no a<k> or p<k>: "
+                          "they must cover exactly a1..aN and p1..pN")
     grid = SweepGrid(n=n, fixed=fixed, axes=axes)
     records = sweep(grid, exact=args.exact, tol=args.tol, jobs=args.jobs)
     axis_names = [name for name, _ in axes]

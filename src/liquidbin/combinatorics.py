@@ -6,11 +6,20 @@ graph is downward closed (DC) when its edge set is closed under taking
 nested pairs.  DC graphs on n vertices are counted by the Catalan number
 C_n and biject with Dyck words of length 2n.
 
-Region adjacency runs on edge bitmasks: bit k of ``DCGraph.bits`` is the
-pair ``all_pairs(n)[k]``.  The mask is computed on first use and cached on
-the instance, outside the dataclass fields, so equality, hashing, repr and
-JSON are those of the edge set alone.  ``regions_adjacent`` tests the
-antichain condition on the XOR of two masks against per-n tables of strict
+This module owns the three representations of a DC graph and the only
+conversions between them:
+
+- the edge set ``DCGraph.edges``, the value: equality, hashing, repr
+  and JSON are those of the edge set alone;
+- the edge bitmask ``DCGraph.bits``: bit k is the pair ``all_pairs(n)[k]``;
+- the b map ``DCGraph.b``: b(i) is the farthest neighbour j > i of i, else
+  i itself, with b(0) = 1.  It is nondecreasing and fixes the graph;
+  ``b_to_dc`` gives the graph back.  The walls, plans and jump orders of
+  the other modules are read from it.
+
+``bits`` and ``b`` are computed on first use and cached on the instance,
+outside the dataclass fields.  ``regions_adjacent`` tests the antichain
+condition on the XOR of two masks against per-n tables of strict
 containers; ``is_antichain`` is the plain reference on arbitrary edge sets
 and ``adjacency_mm_condition`` an independent second characterization.
 """
@@ -65,6 +74,16 @@ class DCGraph:
         """Edge bitmask: bit k is set iff all_pairs(n)[k] is an edge."""
         bit = _layout(self.n).bit
         return sum(1 << bit[e] for e in self.edges)
+
+    @cached_property
+    def b(self) -> tuple[int, ...]:
+        """b map, index 0..n: b[i] is the largest j > i joined to i, else
+        i itself; b[0] = 1 by convention."""
+        b = [1, *range(1, self.n + 1)]
+        for (i, j) in self.edges:
+            if j > b[i]:
+                b[i] = j
+        return tuple(b)
 
     @property
     def sorted_edges(self) -> tuple[Edge, ...]:
@@ -237,13 +256,16 @@ def b_map(g: DCGraph, i: int) -> int:
     """Largest j > i joined to i, else i itself; b(0) = 1 by convention."""
     if not 0 <= i <= g.n:
         raise ValueError(f"vertex index {i} outside [0, {g.n}]")
-    if i == 0:
-        return 1
-    best = i
-    for (u, v) in g.edges:
-        if u == i and v > best:
-            best = v
-    return best
+    return g.b[i]
+
+
+# the walk in regions and f_map in cyclic reach graphs by their b maps
+@lru_cache(maxsize=4096)
+def b_to_dc(b: tuple[int, ...]) -> DCGraph:
+    """The DC graph with b map b (index 0..N), its edges put in sorted (as
+    in dyck_to_dc), so it prints the same however it was reached."""
+    n = len(b) - 1
+    return DCGraph(n, frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, b[i] + 1)))
 
 
 # region checks ask for m(G) and M(G) of the same few graphs at every point
@@ -363,21 +385,10 @@ def stanley_covers(g1: DCGraph, g2: DCGraph) -> bool:
 def connected_component_of_one(g: DCGraph) -> DCGraph:
     """Induced DC graph on the undirected component of vertex 1.
 
-    Downward closure makes every component an integer interval, so the
-    component of 1 is [1, k] and no relabeling beyond truncation is needed.
+    b is nondecreasing on a DC graph, so no edge jumps over a vertex k
+    with b(k) = k: the component of 1 is [1, k] for the first such k, and
+    no relabeling beyond truncation is needed.
     """
-    members = {1}
-    frontier = [1]
-    adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
-    for (i, j) in g.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if w not in members:
-                members.add(w)
-                frontier.append(w)
-    k = max(members)
-    assert members == set(range(1, k + 1)), "component of vertex 1 must be an interval"
-    return DCGraph(k, frozenset(e for e in g.edges if e[1] <= k))
+    b = g.b
+    k = next(k for k in range(1, g.n + 1) if b[k] == k)
+    return b_to_dc(b[:k + 1])

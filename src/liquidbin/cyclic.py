@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import DCGraph, b_map, connected_component_of_one
+from .combinatorics import DCGraph, b_to_dc, connected_component_of_one
 from .params import Number, Params
 from .regions import classify, solve_system
 
@@ -94,7 +94,7 @@ def f_map(z: CyclicOrder) -> DCGraph:
     """Graph of a jump order: edges (i, j) with j <= beta(i), where
     beta(i) extends while (i, m-1, m) keeps appearing clockwise."""
     n = z.n
-    edges = set()
+    b = [1]
     for i in range(1, n + 1):
         beta = min(i + 1, n)
         for m in range(i + 2, n + 1):
@@ -102,9 +102,8 @@ def f_map(z: CyclicOrder) -> DCGraph:
                 beta = m
             else:
                 break
-        for j in range(i + 1, beta + 1):
-            edges.add((i, j))
-    return DCGraph(n, frozenset(edges))
+        b.append(beta)
+    return b_to_dc(tuple(b))
 
 
 def zprime_chains(g: DCGraph) -> tuple[ChainConstraint, ...]:
@@ -125,10 +124,11 @@ def zprime_chains(g: DCGraph) -> tuple[ChainConstraint, ...]:
     _require_connected(g)
     out: list[ChainConstraint] = []
     seen = set()
+    b = g.b
     for i in range(1, g.n):
-        j = b_map(g, i)
+        j = b[i]
         candidates = [tuple(range(i, j + 1))]
-        if i - 1 >= 1 and b_map(g, i - 1) < j:
+        if i - 1 >= 1 and b[i - 1] < j:
             candidates.append((i, i - 1, j))
         if j + 1 <= g.n:
             candidates.append((j, i, j + 1))

@@ -21,6 +21,7 @@ from .combinatorics import (
     DyckPath,
     Edge,
     all_pairs,
+    b_to_dc,
     dc_to_dyck,
     enumerate_dc,
     graph_index,
@@ -51,15 +52,6 @@ def _shared(t: tuple) -> tuple:
     """One instance per value: plans share their small tuples, most of
     which recur across graphs."""
     return t
-
-
-@lru_cache(maxsize=4096)
-def _plan(g: DCGraph) -> _Plan:
-    """The plan of g's b map (see _plan_b); b(0) = 1 by convention."""
-    b = [1, *range(1, g.n + 1)]
-    for (i, j) in g.edges:
-        b[i] = max(b[i], j)
-    return _plan_b(tuple(b))
 
 
 @lru_cache(maxsize=4096)
@@ -108,14 +100,6 @@ def _plan_b(b: tuple[int, ...]) -> _Plan:
     return _Plan(b, tuple(gammas), tuple(paths), tuple(rated), tuple(walls))
 
 
-@lru_cache(maxsize=4096)
-def _graph_of(b: tuple[int, ...]) -> DCGraph:
-    """The DC graph with b map b, its edges put in sorted (as in
-    dyck_to_dc), so it prints the same however it was reached."""
-    n = len(b) - 1
-    return DCGraph(n, frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, b[i] + 1)))
-
-
 def _path_weights(plan: _Plan, q: Sequence[Number]) -> list[dict[int, Number]]:
     """Row i maps i to 1 and each j reachable from i to the total weight
     of the paths from i to j, in increasing j: the sums of the
@@ -141,7 +125,7 @@ def gamma(g: DCGraph, params: Params, e: Edge) -> Number:
     """Weight of edge (i, j): (q_{b(i)} - q_{max(j-1, b(i-1))}) / q_{b(i-1)}."""
     if e not in g.edges:
         raise ValueError(f"{e} is not an edge of the graph")
-    return _edge_weight(_plan(g).b, params.q, *e)
+    return _edge_weight(g.b, params.q, *e)
 
 
 def big_gamma(g: DCGraph, params: Params, i: int, j: int) -> Number:
@@ -149,8 +133,7 @@ def big_gamma(g: DCGraph, params: Params, i: int, j: int) -> Number:
     none, the dense sum's zero: q_0 if b(i) > i, else the int 0."""
     if not 1 <= i <= j <= params.n:
         raise ValueError("need 1 <= i <= j <= N")
-    plan = _plan(g)
-    return _path_weights(plan, params.q)[i].get(j, params.q[0] if plan.b[i] > i else 0)
+    return _path_weights(_plan_b(g.b), params.q)[i].get(j, params.q[0] if g.b[i] > i else 0)
 
 
 def solve_system(g: DCGraph, params: Params) -> tuple[Number, ...]:
@@ -161,10 +144,10 @@ def solve_system(g: DCGraph, params: Params) -> tuple[Number, ...]:
 
     The sums run over the graph's plan: O(N + nonzero path-weight terms)
     per call, each term (v * d) / q as in the dense formula, in the same
-    order, the exact zeros left out (see _plan for why no bit changes).
+    order, the exact zeros left out (see _plan_b for why no bit changes).
     """
     n, q, d = params.n, params.q, params.d
-    plan = _plan(g)
+    plan = _plan_b(g.b)
     b, rated = plan.b, plan.rated
     rows = _path_weights(plan, q)
 
@@ -187,7 +170,7 @@ def solve_system_triangular(g: DCGraph, params: Params) -> tuple[Number, ...]:
     z_1 carried as an affine unknown (over every edge, zero weights
     included, not the plan's terms), then close the first row."""
     n, q, d = params.n, params.q, params.d
-    b = _plan(g).b
+    b = g.b
     aff: dict[int, tuple[Number, Number]] = {}  # i -> (const, coeff of z1)
     for i in range(n, 0, -1):
         u = d[i - 1] / q[b[i - 1]]
@@ -205,7 +188,7 @@ def system_residual(g: DCGraph, params: Params, z: Sequence[Number]) -> Number:
     """Sup-norm residual of z in the untransformed linear system
     a_i = sum_{j <= b(i)} p_j ((z_1+...+z_i) - (z_1+...+z_j) + z_1)."""
     n, p = params.n, params.p
-    b = _plan(g).b
+    b = g.b
     prefix = [0]
     for zi in z:
         prefix.append(prefix[-1] + zi)
@@ -258,7 +241,7 @@ def _region_gaps(g: DCGraph, z: Sequence[Number], tol: Number) -> tuple[bool, fr
     flags = set()
     ok = True
     violation = 0
-    for (i, j, is_maximal) in _plan(g).walls:
+    for (i, j, is_maximal) in _plan_b(g.b).walls:
         gap = z1 - sum(z[i:j])
         violation = max(violation, -gap if is_maximal else gap)
         if abs(gap) <= tau:
@@ -335,10 +318,9 @@ def _toggles(g: DCGraph) -> Iterator[DCGraph]:
     """The graphs one edge from g: a maximal edge (i, b(i)) removed or an
     addable pair (i, b(i) + 1) added, i.e. b(i) moved by one (any other
     single toggle breaks downward closure)."""
-    plan = _plan(g)
-    b = plan.b
-    for (i, j, is_maximal) in plan.walls:
-        yield _graph_of((*b[:i], j - 1 if is_maximal else j, *b[i + 1:]))
+    b = g.b
+    for (i, j, is_maximal) in _plan_b(b).walls:
+        yield b_to_dc((*b[:i], j - 1 if is_maximal else j, *b[i + 1:]))
 
 
 def _proposal_first(proposal: DCGraph) -> Iterator[DCGraph]:
@@ -404,12 +386,19 @@ def _walk(params: Params) -> tuple[DCGraph, tuple[Number, ...]]:
     """
     b, seen = (1, *range(1, params.n + 1)), set()  # the empty graph
     while True:
-        g = _graph_of(b)
+        g = b_to_dc(b)
         z = solve_system(g, params)
         if b in seen or _holds(_plan_b(b).walls, z):
             return g, z
         seen.add(b)
         b = _gap_b(z, 0)
+
+
+def _check_tol(tol: Number) -> None:
+    """A negative or nan tol would flag no wall, an infinite one every
+    wall: only a finite tol >= 0 keeps wall detection meaningful."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
 
 
 def classify(params: Params, tol: Number = 1e-9) -> RegionReport:
@@ -419,11 +408,13 @@ def classify(params: Params, tol: Number = 1e-9) -> RegionReport:
 
     Rational parameters give an exactly confirmed report.  In floating
     point, any gap within the relative tolerance of zero makes the report
-    ambiguous (an explicit wall result, never a silent guess).
+    ambiguous (an explicit wall result, never a silent guess).  tol must
+    be finite and >= 0 (ValueError otherwise).
     """
+    _check_tol(tol)
     exact = params.is_exact
     g, z = _walk(params.as_float() if exact else params)
-    proposal = _graph_of(_gap_b(z, max(tol, 1e-12) * z[0]))
+    proposal = b_to_dc(_gap_b(z, max(tol, 1e-12) * z[0]))
     if exact:  # the float walk only proposes: the scan solves exactly
         return _scan(_proposal_first(proposal), params, 0)
     return _scan(_proposal_first(proposal), params, tol, solved=(g, z))
@@ -440,7 +431,7 @@ def boundary_gap(g: DCGraph, params: Params, e: Edge) -> BoundaryGap:
     e, plus its rescaled variant whose denominator strips the z_1 feedback;
     both vanish together and share their strict sign."""
     i, j = e
-    plan = _plan(g)
+    plan = _plan_b(g.b)
     if e not in {w[:2] for w in plan.walls}:
         raise ValueError(f"{e} is not a wall edge (neither maximal nor addable) for this graph")
     q = params.q
@@ -547,8 +538,10 @@ def sweep(
     grid: SweepGrid, *, exact: bool = False, tol: Number = 1e-9, jobs: int = 1
 ) -> list[SweepRecord]:
     """Classify every grid point, row-major over the axes, deterministic
-    output order regardless of the worker count."""
+    output order regardless of the worker count.  A bad tol raises here,
+    before any point is classified."""
     grid.validate()
+    _check_tol(tol)
     envs: list[dict[str, Number]] = []
     if len(grid.axes) == 1:
         name, values = grid.axes[0]

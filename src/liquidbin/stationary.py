@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import DCGraph, b_map
+from .combinatorics import DCGraph
 from .dynamics import CarConfig, _CarSim, step_cars
 from .params import Number, Params
 from .regions import classify, float_solution
@@ -142,7 +142,7 @@ def contraction_map(params: Params, g: DCGraph, s: tuple[Number, ...]) -> tuple[
     q, p = params.q, params.p
     out = []
     for i in range(1, params.n + 1):
-        b = b_map(g, i)
+        b = g.b[i]
         out.append((params.a[i - 1] + sum(p[j - 1] * (s[j - 1] - s[0]) for j in range(1, b + 1))) / q[b])
     return tuple(out)
 

@@ -54,6 +54,57 @@ def replay_jump_order(params: Params, graph: combinatorics.DCGraph, z) -> Cyclic
     return _order_from_times([(t, i) for i, t in first.items()], profile.period, exact)
 
 
+def reference_b(g: combinatorics.DCGraph) -> tuple[int, ...]:
+    """The b map by a scan of the edge set per vertex: the oracle for
+    DCGraph.b.  b[0] = 1; b[i] is the largest j > i joined to i, else i."""
+    def farthest(i):
+        best = i
+        for (u, v) in g.edges:
+            if u == i and v > best:
+                best = v
+        return best
+
+    return (1, *map(farthest, range(1, g.n + 1)))
+
+
+def reference_component_of_one(g: combinatorics.DCGraph) -> combinatorics.DCGraph:
+    """The component of vertex 1 by a search over the undirected edges,
+    checked to be an interval [1, k], with g's edges inside it: the
+    oracle for combinatorics.connected_component_of_one."""
+    members = {1}
+    frontier = [1]
+    adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
+    for (i, j) in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    while frontier:
+        v = frontier.pop()
+        for w in adj[v]:
+            if w not in members:
+                members.add(w)
+                frontier.append(w)
+    k = max(members)
+    assert members == set(range(1, k + 1)), "component of vertex 1 must be an interval"
+    return combinatorics.DCGraph(k, frozenset(e for e in g.edges if e[1] <= k))
+
+
+def reference_f_map(z: CyclicOrder) -> combinatorics.DCGraph:
+    """The graph of a jump order built edge by edge: the oracle for
+    cyclic.f_map, which builds the b map (1, beta(1), ..., beta(N))."""
+    n = z.n
+    edges = set()
+    for i in range(1, n + 1):
+        beta = min(i + 1, n)
+        for m in range(i + 2, n + 1):
+            if z.contains(i, m - 1, m):
+                beta = m
+            else:
+                break
+        for j in range(i + 1, beta + 1):
+            edges.add((i, j))
+    return combinatorics.DCGraph(n, frozenset(edges))
+
+
 def gap_edges(z, margin) -> frozenset:
     """The pairs (i, j) whose sub-pairs (i', j') all have
     z_1 - (z_{i'+1} + ... + z_{j'}) > margin, as a pair set: the oracle

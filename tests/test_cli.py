@@ -355,6 +355,52 @@ def test_cyclic_float_report_near_a_wall_exits_3(capsys):
     assert code == EXIT_WALL and json.loads(out)["ambiguous"] is True
 
 
+# classify reports this point ambiguous at tol 0.1; a negative or nan tol
+# would flag no wall and report it unflagged
+NEAR_WALL = ["--a", "2.4659743231029303,10.7513937160083,12.007315042685455,13.794431612047934",
+             "--p", "0.9271190790113588,2.8895352417819145,0.09828989253005423,1.6235053213437434"]
+
+
+@pytest.mark.parametrize("tol", ["-0.1", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["classify", *NEAR_WALL],
+    ["cyclic", *NEAR_WALL],
+    ["sweep", "--fixed", "a1=0.3,a2=1,p2=1-p1", "--vary", "p1=0.1:0.9:0.1"],
+], ids=["classify", "cyclic", "sweep"])
+def test_tol_must_be_finite_and_nonnegative(capsys, argv, tol):
+    code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err.startswith("error:") and "finite and >= 0" in err
+
+
+def test_tol_zero_allowed_and_the_wall_still_found_at_tol_0_1(capsys):
+    for cmd in ("classify", "cyclic"):
+        code, _, _ = run_cli(capsys, cmd, *NEAR_WALL, "--tol", "0.1")
+        assert code == EXIT_WALL
+        code, _, _ = run_cli(capsys, cmd, *NEAR_WALL, "--tol", "0")
+        assert code == EXIT_OK
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        classify(sample_params(np.random.default_rng(0), 3), tol=-1e-9)
+
+
+@pytest.mark.parametrize("vary", [
+    "a1=1e16:2e16:1", "a1=1:inf:1", "a1=-inf:1:1", "a1=nan:1:1", "a1=1:nan:1", "a1=1:2:inf",
+    "a1=1:2:nan",
+])
+def test_sweep_range_that_would_not_end_exits_2(capsys, vary):
+    # a step below half an ulp of v never advances it; an infinite end
+    # is never reached
+    code, out, err = run_cli(capsys, "sweep", f"--vary={vary}", "--fixed", "p1=1")
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err.startswith("error:")
+
+
+def test_sweep_without_coordinate_names_exits_2(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--vary", "x=0.1:0.5:0.1")
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and "a1..aN and p1..pN" in err
+
+
 def test_cyclic_disconnected_rejected(capsys):
     code, _, err = run_cli(capsys, "cyclic", "--a", "1,50", "--p", "1,1", "--exact")
     assert code == EXIT_BAD_INPUT

@@ -6,7 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dyck_words
+from conftest import dyck_words, reference_b, reference_component_of_one
 from liquidbin.combinatorics import (
     Adjacency,
     DCGraph,
@@ -15,6 +15,7 @@ from liquidbin.combinatorics import (
     adjacency_mm_condition,
     all_pairs,
     b_map,
+    b_to_dc,
     catalan,
     connected_component_of_one,
     dc_to_dyck,
@@ -147,6 +148,20 @@ def test_b_map():
         b_map(DCGraph.empty(3), 4)
     with pytest.raises(ValueError):
         b_map(DCGraph.empty(3), -1)
+
+
+def test_b_is_the_edge_scan_and_b_to_dc_inverts_it():
+    # every DC graph up to N = 8: b_to_dc(g.b) is g, down to the frozenset
+    # order of dyck_to_dc, and b is nondecreasing with b(i) >= i
+    for n in range(1, 9):
+        for g in enumerate_dc(n):
+            b = g.b
+            assert b == reference_b(g)
+            assert [b_map(g, i) for i in range(n + 1)] == list(b)
+            assert all(b[i - 1] <= b[i] and b[i] >= i for i in range(1, n + 1))
+            h = b_to_dc(b)
+            assert h == g and repr(h) == repr(g) and list(h.edges) == list(g.edges)
+            assert b_to_dc(b) is h  # cached by value
 
 
 def test_maximal_edges_examples():
@@ -341,16 +356,18 @@ def test_edge_bits_follow_the_pair_layout_whatever_the_construction():
 
 
 def test_edge_bits_stay_out_of_equality_and_survive_pickling():
+    # the b map, cached the same way, is held to the same rules
     graphs = list(enumerate_dc(5))
-    fresh = [DCGraph(5, g.edges) for g in graphs]  # no mask computed yet
+    fresh = [DCGraph(5, g.edges) for g in graphs]  # no mask or b map computed yet
     for g, f in zip(graphs, fresh):
-        assert "bits" not in vars(f)
+        g.b
+        assert "bits" not in vars(f) and "b" not in vars(f)
         assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
         assert f.to_json_dict() == g.to_json_dict()
     graphs[3].bits
     restored = [pickle.loads(pickle.dumps(g)) for g in graphs + fresh]
     for g, r in zip(graphs + fresh, restored):
-        assert r == g and hash(r) == hash(g) and r.bits == g.bits
+        assert r == g and hash(r) == hash(g) and r.bits == g.bits and r.b == g.b
     for g1, r1 in zip(graphs, restored):
         for g2, r2 in zip(graphs, restored[len(graphs):]):
             if g1 != g2:
@@ -384,6 +401,16 @@ def test_connected_component_of_one():
     assert connected_component_of_one(DCGraph.empty(4)) == DCGraph(1)
     for n in range(1, 6):
         assert connected_component_of_one(DCGraph.complete(n)) == DCGraph.complete(n)
+
+
+def test_connected_component_of_one_matches_the_search():
+    # every DC graph up to N = 8, against a search over the undirected
+    # edges; graphs from dyck_to_dc keep their frozenset order
+    for n in range(1, 9):
+        for g in enumerate_dc(n):
+            want = reference_component_of_one(g)
+            got = connected_component_of_one(g)
+            assert got == want and repr(got) == repr(want)
 
 
 def test_graph_json_roundtrip():

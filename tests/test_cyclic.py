@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_rational_params, replay_jump_order
+from conftest import random_rational_params, reference_f_map, replay_jump_order
 from liquidbin.combinatorics import DCGraph, connected_component_of_one, enumerate_dc
 from liquidbin.cyclic import (
     ChainConstraint,
@@ -68,6 +68,15 @@ def test_f_map_output_is_connected_and_closed():
         for z in all_cyclic_orders(n):
             g = f_map(z)  # DCGraph constructor validates closure
             assert connected_component_of_one(g).n == n
+
+
+def test_f_map_matches_the_edge_loop():
+    # all (N-1)! cyclic orders up to N = 7
+    for n in range(1, 8):
+        orders = all_cyclic_orders(n)
+        assert len(orders) == factorial(n - 1)
+        for z in orders:
+            assert f_map(z) == reference_f_map(z)
 
 
 def test_zprime_chain_examples():

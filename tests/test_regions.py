@@ -10,6 +10,7 @@ from conftest import (
     dyck_words,
     gap_edges,
     random_rational_params,
+    reference_b,
     reference_walk,
     tied_phase_thresholds,
 )
@@ -20,6 +21,7 @@ from liquidbin.combinatorics import (
     addable_edges,
     all_pairs,
     b_map,
+    b_to_dc,
     connected_component_of_one,
     dc_to_dyck,
     dyck_to_dc,
@@ -548,7 +550,7 @@ def _decimal_near_wall(rng: random.Random, n: int) -> Params:
 def _proposal(params: Params) -> DCGraph:
     # the graph classify tries first at tol 0
     _, z = regions._walk(params.as_float())
-    return regions._graph_of(regions._gap_b(z, 1e-12 * z[0]))
+    return b_to_dc(regions._gap_b(z, 1e-12 * z[0]))
 
 
 def test_proposal_layers_follow_the_distance_sort():
@@ -649,7 +651,7 @@ def dense_tables_reference(g, params):
     """The dense tables: b map, every edge weight, and the full O(N^3)
     path-weight matrix by descending first-step decomposition."""
     n, q = params.n, params.q
-    b = [b_map(g, i) for i in range(n + 1)]
+    b = list(reference_b(g))
     gam = {}
     for (i, j) in g.edges:
         gam[(i, j)] = (q[b[i]] - q[max(j - 1, b[i - 1])]) / q[b[i - 1]]
@@ -714,7 +716,7 @@ def assert_plan_matches_dense_formula(g, params):
     assert repr(solve_system(g, params)) == repr(dense_solve_reference(g, params))
     assert repr(solve_system_triangular(g, params)) == repr(dense_triangular_reference(g, params))
     b_ref, gam_ref, big_ref = dense_tables_reference(g, params)
-    assert list(regions._plan(g).b) == b_ref
+    assert list(regions._plan_b(g.b).b) == b_ref
     assert repr([(e, gamma(g, params, e)) for e in sorted(g.edges)]) == repr(sorted(gam_ref.items()))
     assert repr([[big_gamma(g, params, i, j) for j in range(i, n + 1)] for i in range(1, n + 1)]) == repr(
         [big_ref[i][i:] for i in range(1, n + 1)])
@@ -752,11 +754,11 @@ def test_plan_solve_is_bit_identical_at_larger_n(case):
 def test_plan_keeps_zero_weights_out_of_the_sums():
     # on K(N) every edge weight from i > 1 is an exact zero: only the N - 1
     # paths 1 -> j carry weight, one term each
-    plan = regions._plan(K(6))
+    plan = regions._plan_b(K(6).b)
     assert [len(plan.gammas[i]) for i in range(1, 7)] == [5, 0, 0, 0, 0, 0]
     assert plan.paths[1] == tuple((j, (j,)) for j in range(2, 7))
-    assert regions._plan(K(6)) is plan  # cached by value
-    assert regions._plan(DCGraph(6, frozenset(K(6).edges))) is plan
+    assert regions._plan_b(K(6).b) is plan  # cached by value
+    assert regions._plan_b(DCGraph(6, frozenset(K(6).edges)).b) is plan
 
 
 def gap_edges_reference(z, margin):
@@ -787,7 +789,7 @@ def test_gap_edges_closure_matches_the_sub_pair_filter():
         n = len(z)
         want = gap_edges(z, margin)
         assert want == gap_edges_reference(z, margin)
-        assert regions._gap_b(z, margin) == tuple(b_map(DCGraph(n, want), i) for i in range(n + 1))
+        assert regions._gap_b(z, margin) == reference_b(DCGraph(n, want))
         up = {(i, j) for (i, j) in all_pairs(n) if z[0] - sum(z[i:j]) > margin}
         removed += len(up) - len(want)
         nan += any(x != x for x in z) and bool(want)

@@ -125,6 +125,17 @@ def test_contraction_map_pairwise_bound():
             assert all(a >= b for a, b in zip(lhs, rhs))
 
 
+def test_stationary_breakpoints_are_the_fixed_point_of_the_region_graph_map():
+    # T(G) of the region's graph G fixes the exact stationary breakpoint
+    # times: its b map picks the terms of the stationarity relations
+    rng = random.Random(15)
+    for _ in range(60):
+        params = random_rational_params(rng, rng.randint(1, 6))
+        report = classify(params)
+        s = StationaryProfile(report.z).breakpoint_times
+        assert contraction_map(params, report.graph, s) == s
+
+
 def test_sandwich_and_monotone_bounds():
     rng = random.Random(9)
     for _ in range(10):
