@@ -12,7 +12,9 @@ import csv
 import json
 import math
 import sys
+from fractions import Fraction
 from functools import partial
+from typing import Iterator
 
 from .combinatorics import DCGraph, dc_to_dyck, enumerate_dc, graph_index, regions_adjacent
 from .cyclic import (
@@ -26,13 +28,14 @@ from .cyclic import (
 from .dynamics import BinConfig, evolve_bins
 from .ibm import hydrolimit_check
 from ._parallel import parallel_map, spawn_seeds
-from .params import Params, ParamsError, format_number, parse_number
+from .params import Number, Params, ParamsError, format_number, parse_number
 from .regions import SweepGrid, classify, sweep
 from .stationary import stationary_profile
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_WALL = 3
+MAX_SWEEP_POINTS = 10**6  # checked before any --vary value is built
 
 
 def _jsonify(obj):
@@ -135,7 +138,9 @@ def _cmd_classify(args) -> int:
     return EXIT_WALL if report.ambiguous else EXIT_OK
 
 
-def _parse_range(token: str, exact: bool) -> tuple[str, list]:
+def _parse_range(token: str, exact: bool) -> tuple[str, int, Iterator[Number]]:
+    """The name of a --vary range, its number of values, worked out from
+    start, stop and step, and its values, built as they are read."""
     name, _, spec = token.partition("=")
     parts = spec.split(":")
     if len(parts) != 3:
@@ -145,14 +150,18 @@ def _parse_range(token: str, exact: bool) -> tuple[str, list]:
         raise ParamsError(f"vary start, stop and step must be finite in {token!r}")
     if not step > 0:
         raise ParamsError(f"vary step must be positive in {token!r}")
-    values = []
-    v = start
-    while v <= stop + step / 2:
-        values.append(v)
-        v, prev = v + step, v
-        if v == prev:  # a float step below half an ulp of v
-            raise ParamsError(f"vary step {parts[2]} does not advance past {prev!r} in {token!r}")
-    return name.strip(), values
+    # the k >= 0 with start + k step <= stop + step/2 in exact arithmetic
+    # (the float sums below may round past the last one or short of it)
+    count = max(0, math.floor((Fraction(stop) - Fraction(start)) / Fraction(step) + Fraction(1, 2)) + 1)
+
+    def values() -> Iterator[Number]:
+        v = start
+        while v <= stop + step / 2:
+            yield v
+            v, prev = v + step, v
+            if v == prev:  # a float step below half an ulp of v
+                raise ParamsError(f"vary step {parts[2]} does not advance past {prev!r} in {token!r}")
+    return name.strip(), count, values()
 
 
 def _cmd_sweep(args) -> int:
@@ -163,7 +172,11 @@ def _cmd_sweep(args) -> int:
             if not value:
                 raise ParamsError(f"fixed spec {item!r} must look like name=value")
             fixed[name.strip()] = value.strip()
-    axes = [_parse_range(tok, args.exact) for chunk in (args.vary or []) for tok in chunk.split(",")]
+    ranges = [_parse_range(tok, args.exact) for chunk in (args.vary or []) for tok in chunk.split(",")]
+    if math.prod(count for _, count, _ in ranges) > MAX_SWEEP_POINTS:
+        raise ParamsError(f"the --vary ranges give more than {MAX_SWEEP_POINTS} grid points, "
+                          "the bound of sweep")
+    axes = [(name, list(values)) for name, _, values in ranges]
     names = set(fixed) | {n for n, _ in axes}
     n = max((int(name[1:]) for name in names if name[:1] in ("a", "p") and name[1:].isdigit()), default=None)
     if n is None:

@@ -222,9 +222,9 @@ def jump_order(
         graph, z, ambiguous = report.graph, report.z, report.ambiguous
     elif z is None:
         z = solve_system(graph, params)
-    _require_connected(graph)
-    if ambiguous:
+    if ambiguous:  # checked first: an ambiguous report's graph, connected or not, is not proven
         raise WallTieError(f"parameters within tol={tol} of a wall: the jump order is undefined there")
+    _require_connected(graph)
     times = [(u, i + 1) for i, u in enumerate(_phases(z))]
     return _order_from_times(times, z[0], params.is_exact)
 

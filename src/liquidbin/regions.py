@@ -4,17 +4,19 @@ of parameter space into Catalan-indexed regions.
 For a DC graph G, the sojourn vector z solves a triangular system whose
 coefficients are path weights in G.  The parameters lie in the region of
 G exactly when z_1 > z_{i+1} + ... + z_j for the maximal edges (i, j) of
-G and z_1 <= z_{i+1} + ... + z_j for its addable pairs; this package
-classifies points by walking to the region in floating point, confirms
-with the closed form, and reports near-equalities as wall flags instead
-of guessing.
+G and z_1 <= z_{i+1} + ... + z_j for its addable pairs.  classify finds
+that region by one walk from graph to graph (Newton's method on the
+stationarity equations): in floating point to propose a graph, then in
+the point's own arithmetic to confirm it, and it reports near-equalities
+as wall flags instead of guessing.  find_region, the exhaustive scan of
+every graph, is the reference the tests compare it with.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .combinatorics import (
     DCGraph,
@@ -230,26 +232,23 @@ def in_region_report(
     without the edge), a flagged addable pair passes."""
     if z is None:
         z = solve_system(g, params)
-    return _region_gaps(g, z, tol)[:2]
+    return _region_gaps(g, z, tol)
 
 
-def _region_gaps(g: DCGraph, z: Sequence[Number], tol: Number) -> tuple[bool, frozenset[Edge], Number]:
-    """in_region_report's verdict and flags, plus the violation: the
-    largest gap on the wrong side of its wall (0 inside the region)."""
+def _region_gaps(g: DCGraph, z: Sequence[Number], tol: Number) -> tuple[bool, frozenset[Edge]]:
+    """in_region_report's verdict and flags for a solution z of g."""
     z1 = z[0]
     tau = tol * z1
     flags = set()
     ok = True
-    violation = 0
     for (i, j, is_maximal) in _plan_b(g.b).walls:
         gap = z1 - sum(z[i:j])
-        violation = max(violation, -gap if is_maximal else gap)
         if abs(gap) <= tau:
             flags.add((i, j))
             ok = ok and not is_maximal
         elif (gap > 0) != is_maximal:
             ok = False
-    return ok, frozenset(flags), violation
+    return ok, frozenset(flags)
 
 
 @dataclass(frozen=True)
@@ -268,31 +267,10 @@ class RegionReport:
         return len(self.graph.edges) == len(all_pairs(self.graph.n))
 
 
-def _scan(
-    candidates: Iterable[DCGraph],
-    params: Params,
-    tol: Number,
-    solved: tuple[DCGraph, tuple[Number, ...]] | None = None,
-) -> RegionReport:
-    """Solve each candidate graph once, in the given order, and report the
-    first whose region holds the parameters; a (graph, z) already solved
-    for these same parameters is reused, not solved again.
-
-    If none does (float only: every candidate is within tol of a wall),
-    report the least-violating graph, ties to the lower canonical index,
-    as unverified and ambiguous: an explicit wall result.
-    """
-    best = None
-    for g in candidates:
-        z = solved[1] if solved is not None and g == solved[0] else solve_system(g, params)
-        ok, flags, violation = _region_gaps(g, z, tol)
-        if ok:
-            break
-        if (best is None or violation < best[0]
-                or violation == best[0] and graph_index(g) < graph_index(best[1])):
-            best = violation, g, z, flags
-    else:
-        _, g, z, flags = best
+def _report(params: Params, g: DCGraph, z: tuple, ok: bool, flags: frozenset[Edge]) -> RegionReport:
+    """The report of graph g from its solution z and wall test.  A float
+    report is ambiguous unless it verifies without wall flags, and a
+    float z outside the float range raises ValueError."""
     if not params.is_exact:
         float_solution(z)
     return RegionReport(
@@ -307,38 +285,16 @@ def _scan(
 
 
 def find_region(params: Params, tol: Number = 0) -> tuple[DCGraph, frozenset[Edge]] | None:
-    """Scan the canonical enumeration for the (unique) region containing
-    the parameters.  Returns None if no candidate verifies, which can only
-    happen in floating point within tol of a wall."""
-    report = _scan(enumerate_dc(params.n), params, tol)
-    return (report.graph, report.boundary_flags) if report.verified else None
-
-
-def _toggles(g: DCGraph) -> Iterator[DCGraph]:
-    """The graphs one edge from g: a maximal edge (i, b(i)) removed or an
-    addable pair (i, b(i) + 1) added, i.e. b(i) moved by one (any other
-    single toggle breaks downward closure)."""
-    b = g.b
-    for (i, j, is_maximal) in _plan_b(b).walls:
-        yield b_to_dc((*b[:i], j - 1 if is_maximal else j, *b[i + 1:]))
-
-
-def _proposal_first(proposal: DCGraph) -> Iterator[DCGraph]:
-    """The proposal, then the other graphs by edge-set distance from it,
-    equal distances in canonical order.
-
-    Each layer is built only once the previous one has failed.  Distances
-    1 and 2 come from one and two toggles (every graph two edges away is
-    reached through a graph one edge away), so a near-wall point costs no
-    Catalan-sized work; the rest is the stable sort of the enumeration.
-    """
-    yield proposal
-    near = set(_toggles(proposal))
-    yield from sorted(near, key=graph_index)
-    # a toggle changes the distance by one: toggles of `near` are at 0 or 2
-    yield from sorted({h for g in near for h in _toggles(g)} - {proposal}, key=graph_index)
-    far = (g for g in enumerate_dc(proposal.n) if len(g.edges ^ proposal.edges) > 2)
-    yield from sorted(far, key=lambda g: len(g.edges ^ proposal.edges))
+    """The exhaustive reference: solve every graph in canonical order and
+    return the first whose region holds the parameters, with its wall
+    flags.  Exact parameters lie in exactly one region; None, when no
+    graph verifies, can only happen in floating point within tol of a
+    wall."""
+    for g in enumerate_dc(params.n):
+        ok, flags = _region_gaps(g, solve_system(g, params), tol)
+        if ok:
+            return g, flags
+    return None
 
 
 def _gap_b(z: Sequence[Number], margin: Number) -> tuple[int, ...]:
@@ -363,35 +319,61 @@ def _gap_b(z: Sequence[Number], margin: Number) -> tuple[int, ...]:
     return tuple(b)
 
 
-def _holds(walls: Sequence[tuple[int, int, bool]], z: Sequence[Number]) -> bool:
-    """_region_gaps(g, z, 0)'s verdict: every maximal gap > 0 and no
-    addable gap > 0, stopping at the first wall on the wrong side."""
+def _holds(walls: Sequence[tuple[int, int, bool]], z: Sequence[Number]) -> frozenset[Edge] | None:
+    """_region_gaps(g, z, 0) in one pass: None unless every maximal gap
+    is > 0 and no addable gap is (stopping at the first wall on the
+    wrong side), else the flags, the walls whose gap is exactly 0."""
     z1 = z[0]
-    return all((z1 - sum(z[i:j]) > 0) == is_maximal for (i, j, is_maximal) in walls)
+    flags = []
+    for (i, j, is_maximal) in walls:
+        gap = z1 - sum(z[i:j])
+        if (gap > 0) != is_maximal:
+            return None
+        if gap == 0:
+            flags.append((i, j))
+    return frozenset(flags)
 
 
-def _walk(params: Params) -> tuple[DCGraph, tuple[Number, ...]]:
+def _walk(params: Params, b: tuple[int, ...] | None = None) -> tuple[DCGraph, tuple, frozenset[Edge] | None]:
     """Newton's method on the piecewise-linear stationarity equations.
 
-    From the empty graph, solve the current graph's system and move to the
-    graph whose walls that solution lies inside.  Returns the first graph
-    whose region holds the parameters strictly, or the last one solved
-    once the walk comes back to a graph, with its solution.  Each step
-    costs one closed-form solve, however slowly the fixed-point iteration
-    would contract (it needs about q_N/q_1 steps).
+    From the graph of b map b (the empty graph by default), solve the
+    current graph's system and move to the graph whose walls that
+    solution lies inside.  Returns the first graph whose region holds the
+    parameters, with its solution and the flags of its wall test (see
+    _holds), or, once the walk comes back to a b map, that graph and its
+    solution with flags None.  Each step costs one closed-form solve,
+    however slowly the fixed-point iteration would contract (it needs
+    about q_N/q_1 steps).
 
     The walk runs on b maps, which fix the graphs: a step costs one
     solve, O(N) wall tests and at most O(N^2) pair sums (see _gap_b),
     and its graph and plan come from caches keyed by the b map.
     """
-    b, seen = (1, *range(1, params.n + 1)), set()  # the empty graph
+    if b is None:
+        b = (1, *range(1, params.n + 1))
+    seen = set()
     while True:
         g = b_to_dc(b)
         z = solve_system(g, params)
-        if b in seen or _holds(_plan_b(b).walls, z):
-            return g, z
+        if b in seen:
+            return g, z, None
+        flags = _holds(_plan_b(b).walls, z)
+        if flags is not None:
+            return g, z, flags
         seen.add(b)
         b = _gap_b(z, 0)
+
+
+def _exact_walk(params: Params, b: tuple[int, ...]) -> tuple[DCGraph, tuple, frozenset[Edge]]:
+    """The region of exact parameters, its solution and wall flags: the
+    walk from b map b, or find_region should the walk come back to a b
+    map (no termination proof is known for the walk)."""
+    g, z, flags = _walk(params, b)
+    if flags is None:
+        g, flags = find_region(params)
+        z = solve_system(g, params)
+    return g, z, flags
 
 
 def _check_tol(tol: Number) -> None:
@@ -402,22 +384,36 @@ def _check_tol(tol: Number) -> None:
 
 
 def classify(params: Params, tol: Number = 1e-9) -> RegionReport:
-    """Locate the region of the parameters: walk to it in floating point,
-    confirm the graph the walk's solution proposes with the closed form,
-    fall back to a search ordered by edge-set distance.
+    """Locate the region of the parameters by one walk (see _walk).
 
-    Rational parameters give an exactly confirmed report.  In floating
-    point, any gap within the relative tolerance of zero makes the report
-    ambiguous (an explicit wall result, never a silent guess).  tol must
-    be finite and >= 0 (ValueError otherwise).
+    A walk in floating point proposes the graph whose walls its last
+    solution lies inside by more than max(tol, 1e-12) * z_1.  Rational
+    parameters are walked on exactly from the proposal: the report is the
+    graph where the exact wall test holds, verified with zero tolerance.
+    A float report is the proposal when that verifies at tol (reusing the
+    walk's solution when the walk ended on it); otherwise it names the
+    region of the input's exact binary value, with that graph's float
+    solution and wall flags.  In floating point, any gap within the
+    relative tolerance of zero makes the report ambiguous (an explicit
+    wall result, never a silent guess).  tol must be finite and >= 0
+    (ValueError otherwise).
     """
     _check_tol(tol)
     exact = params.is_exact
-    g, z = _walk(params.as_float() if exact else params)
-    proposal = b_to_dc(_gap_b(z, max(tol, 1e-12) * z[0]))
-    if exact:  # the float walk only proposes: the scan solves exactly
-        return _scan(_proposal_first(proposal), params, 0)
-    return _scan(_proposal_first(proposal), params, tol, solved=(g, z))
+    g, z, _ = _walk(params.as_float() if exact else params)
+    proposal = _gap_b(z, max(tol, 1e-12) * z[0])
+    if exact:
+        g, z, flags = _exact_walk(params, proposal)
+        return _report(params, g, z, True, flags)
+    if proposal != g.b:
+        g = b_to_dc(proposal)
+        z = solve_system(g, params)
+    ok, flags = _region_gaps(g, z, tol)
+    if not ok:
+        g = _exact_walk(params.as_exact(), proposal)[0]
+        z = solve_system(g, params)
+        ok, flags = _region_gaps(g, z, tol)
+    return _report(params, g, z, ok, flags)
 
 
 @dataclass(frozen=True)

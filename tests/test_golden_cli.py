@@ -2,8 +2,11 @@
 
 tests/data/classify_golden.jsonl holds one record per seeded argv: the
 argv, the exit code and stdout, written by the code before classify's
-walk moved from DCGraph values to b maps.  Changes that only speed
-classify up must reproduce it exactly.  The records are written with
+walk moved from DCGraph values to b maps, and rewritten when a float
+cyclic came to test the report's ambiguity before the graph's
+connectivity (five cyclic records went from exit 2 to 3, stdout
+unchanged).  Changes that only speed classify up must reproduce it
+exactly.  The records are written with
 
     PYTHONPATH=src python tests/test_golden_cli.py > tests/data/classify_golden.jsonl
 """
@@ -26,8 +29,8 @@ def golden_argv() -> list[list[str]]:
     """150 argv: classify, speed and cyclic in turn, each at --tol 1e-9,
     --tol 0.1 and --exact, N = 1..8; values log-uniform over 10^+-3, or
     over 10^+-300 at N <= 6; every fifth point an exact wall point with
-    unit rates.  (A float report that no candidate verifies costs a scan
-    of all C_N graphs, seconds at N = 10, hence the bounds on N.)"""
+    unit rates.  (N stays at most 8, the bound the records were first
+    drawn with.)"""
     rng = np.random.default_rng(2026)
     wall_rng = random.Random(2026)
     out = []

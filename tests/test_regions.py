@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 from math import prod
@@ -33,12 +34,12 @@ from liquidbin.cyclic import sample_params
 from liquidbin.params import Params, ParamsError
 from liquidbin.regions import (
     SweepGrid,
-    _scan,
     big_gamma,
     boundary_gap,
     check_continuity,
     classify,
     find_region,
+    float_solution,
     gamma,
     in_region,
     in_region_report,
@@ -48,7 +49,7 @@ from liquidbin.regions import (
     sweep,
     system_residual,
 )
-from liquidbin.stationary import fixed_point_solve
+from liquidbin.stationary import fixed_point_solve, stationary_profile
 
 FIG1 = Params((F(3, 2), F(5, 2)), (F(1, 2), F(3, 2)))
 WALL3 = Params((F(1), F(2), F(3)), (F(1), F(1), F(1)))
@@ -504,23 +505,6 @@ def test_int_params_classify_exactly_in_either_call_order():
             assert report.z == (F(2, 3), F(1, 3), F(1, 3))
 
 
-def test_scan_without_the_true_region_reports_least_violation():
-    # the region of this point is L(3), index 1; without it, K(3) (index 0)
-    # and the graph {(2, 3)} (index 3) both miss by 1/3, and the tie goes
-    # to the lower index however the candidates are ordered
-    params = Params((F(1), F(3), F(5)), (F(1), F(1), F(1)))
-    graphs = enumerate_dc(3)
-    assert graphs[1] == L(3) and in_region(L(3), params)
-    assert graphs[3] == DCGraph(3, frozenset({(2, 3)}))
-    candidates = [g for i, g in enumerate(graphs) if i != 1]
-    for order in (candidates, candidates[::-1]):
-        report = _scan(order, params, 0)
-        assert report.graph == K(3)
-        assert report.z == solve_system(K(3), params)
-        assert not report.verified
-        assert report.ambiguous
-
-
 def test_exactly_one_region_verifies():
     # the regions partition parameter space: exactly one graph passes the
     # membership test at any exact parameter point
@@ -549,23 +533,13 @@ def _decimal_near_wall(rng: random.Random, n: int) -> Params:
 
 def _proposal(params: Params) -> DCGraph:
     # the graph classify tries first at tol 0
-    _, z = regions._walk(params.as_float())
+    z = regions._walk(params.as_float())[1]
     return b_to_dc(regions._gap_b(z, 1e-12 * z[0]))
 
 
-def test_proposal_layers_follow_the_distance_sort():
-    # the toggle layers at distances 1 and 2, then the sort of the rest,
-    # give exactly the stable sort of the enumeration by distance
-    for n in range(1, 7):
-        graphs = enumerate_dc(n)
-        for proposal in graphs:
-            ranked = sorted(graphs, key=lambda g: len(g.edges ^ proposal.edges))
-            assert list(regions._proposal_first(proposal)) == ranked
-
-
 def test_exact_classify_of_decimal_near_wall_points():
-    # the proposal often misses these points; the exact scan still finds
-    # the one region that holds them
+    # the proposal often misses these points; the exact walk still finds
+    # the one region that holds them, with find_region's wall flags
     rng = random.Random(5)
     missed = 0
     for n in range(3, 7):
@@ -578,15 +552,51 @@ def test_exact_classify_of_decimal_near_wall_points():
     assert missed
 
 
-@pytest.mark.parametrize("seed, distance", [(1, 1), (15, 2)])
+@pytest.mark.parametrize("seed, distance", [(1, 1), (15, 2), (13, 3), (53, 3), (8, 4)])
 def test_exact_classify_near_wall_at_n12_never_enumerates(forbid_enumeration, seed, distance):
-    # a region one or two edge toggles from the proposal is found in the
-    # toggle layers, before any Catalan-sized sort
+    # the exact walk goes on from the proposal to the region, however many
+    # edges away, with no Catalan-sized list built; float speed classifies
+    # the binary value of its input the same way
     params = _decimal_near_wall(random.Random(seed), 12)
     report = classify(params, tol=0)
     assert len(report.graph.edges ^ _proposal(params).edges) == distance
     assert report.verified and not report.ambiguous
     assert in_region(report.graph, params, report.z)
+    assert stationary_profile(params.as_float())[0].z == float_solution(report.z)
+
+
+@pytest.mark.parametrize("n, k", [(6, 106), (7, 41), (9, 110), (9, 119)])
+def test_ambiguous_float_report_names_the_region_of_the_binary_value(forbid_enumeration, n, k):
+    # no graph is clear of the walls at tol 0.1 here: the report names the
+    # exact region of the input's binary value, with its float solution
+    rng = np.random.default_rng(n)
+    for _ in range(k + 1):
+        params = sample_params(rng, n)
+    report = classify(params, tol=0.1)
+    assert report.ambiguous
+    assert report.graph == classify(params.as_exact(), tol=0).graph
+    assert report.z == solve_system(report.graph, params)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_walk_that_comes_back_to_a_b_map_falls_back_to_find_region(monkeypatch, exact):
+    # the walk has no termination proof: should its step cycle between two
+    # graphs, the exhaustive scan still names the region
+    rng = random.Random(16)
+    scans = []
+    monkeypatch.setattr(regions, "find_region", lambda *a: scans.append(a) or find_region(*a))
+    for n in range(3, 7):
+        params = random_rational_params(rng, n)
+        if not exact:
+            params = params.as_float()
+        want = find_region(params.as_exact())[0]
+        cycle = itertools.cycle([g.b for g in enumerate_dc(n) if g != want][:2])
+        with monkeypatch.context() as m:
+            m.setattr(regions, "_gap_b", lambda z, margin: next(cycle))
+            report = classify(params)
+        assert report.graph == want
+        assert report.z == solve_system(want, params)
+    assert len(scans) == 4
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-2])
@@ -813,7 +823,7 @@ def test_walk_on_b_maps_matches_the_graph_walk():
         for _ in range(10):
             points.append(Params(tied_phase_thresholds(wall_rng, n), (1,) * n).as_float())
     for params in points:
-        g, z = regions._walk(params)
+        g, z, _ = regions._walk(params)
         g_ref, z_ref = reference_walk(params)
         assert g == g_ref and repr(z) == repr(z_ref), params
         # edges put in sorted, so the graph prints as dyck_to_dc's does
