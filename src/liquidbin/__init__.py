@@ -14,6 +14,7 @@ from .combinatorics import (
     b_to_dc,
     catalan,
     connected_component_of_one,
+    dc_graphs,
     dc_to_dyck,
     dyck_to_dc,
     enumerate_dc,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterator
 
-from .combinatorics import DCGraph, dc_to_dyck, enumerate_dc, graph_index, regions_adjacent
+from .combinatorics import DCGraph, dc_graphs, dc_to_dyck, enumerate_dc, graph_index, regions_adjacent
 from .cyclic import (
     DisconnectedRegionError,
     WallTieError,
@@ -81,18 +81,7 @@ def _cmd_simulate(args) -> int:
     with open(args.params) as fh:
         obj = json.load(fh)
     params = Params.from_json_dict(obj, exact=args.exact)
-    bins_obj = obj.get("bins")
-    if not isinstance(bins_obj, dict):
-        raise ParamsError('params file needs a "bins" object {"front": int, "volumes": [...]}')
-    try:
-        front, volumes = bins_obj["front"], bins_obj["volumes"]
-        if not isinstance(front, int) or isinstance(front, bool):
-            raise TypeError("front must be an int")
-        if not isinstance(volumes, list):
-            raise TypeError("volumes must be a list")
-        x0 = BinConfig(front=front, volumes=tuple(parse_number(str(v), args.exact) for v in volumes))
-    except (KeyError, TypeError) as exc:
-        raise ParamsError(f'bad "bins" object: {bins_obj!r}') from exc
+    x0 = BinConfig.from_json_dict(obj.get("bins"), args.exact)
     t = parse_number(args.t, args.exact)
     x1, log = evolve_bins(x0, params, t)
     if args.trace:
@@ -150,17 +139,21 @@ def _parse_range(token: str, exact: bool) -> tuple[str, int, Iterator[Number]]:
         raise ParamsError(f"vary start, stop and step must be finite in {token!r}")
     if not step > 0:
         raise ParamsError(f"vary step must be positive in {token!r}")
-    # the k >= 0 with start + k step <= stop + step/2 in exact arithmetic
-    # (the float sums below may round past the last one or short of it)
-    count = max(0, math.floor((Fraction(stop) - Fraction(start)) / Fraction(step) + Fraction(1, 2)) + 1)
+    # the k >= 0 with k step <= (stop - start)(1 + 10^-9), counted in exact
+    # arithmetic on the parsed numbers: the slack keeps a stop that decimal
+    # steps miss only by the rounding of their binary values (0.05:0.95:0.05
+    # has 19 values), and is far below one step
+    span = (Fraction(stop) - Fraction(start)) * (1 + Fraction(1, 10**9))
+    count = max(0, math.floor(span / Fraction(step)) + 1)
 
     def values() -> Iterator[Number]:
         v = start
-        while v <= stop + step / 2:
+        for k in range(count):
+            if k:
+                v, prev = v + step, v
+                if v == prev:  # a float step below half an ulp of v
+                    raise ParamsError(f"vary step {parts[2]} does not advance past {prev!r} in {token!r}")
             yield v
-            v, prev = v + step, v
-            if v == prev:  # a float step below half an ulp of v
-                raise ParamsError(f"vary step {parts[2]} does not advance past {prev!r} in {token!r}")
     return name.strip(), count, values()
 
 
@@ -201,11 +194,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    graphs = enumerate_dc(args.n)
-    rows = [
+    # C_N rows, each built as the writer asks for it: no list of graphs
+    rows = (
         [i, dc_to_dyck(g).word, g.n, json.dumps([list(e) for e in g.sorted_edges])]
-        for i, g in enumerate(graphs)
-    ]
+        for i, g in enumerate(dc_graphs(args.n))
+    )
     _write_csv(args.out, ["graph_id", "dyck", "n", "edges"], rows)
     return EXIT_OK
 

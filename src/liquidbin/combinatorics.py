@@ -14,21 +14,25 @@ conversions between them:
 - the edge bitmask ``DCGraph.bits``: bit k is the pair ``all_pairs(n)[k]``;
 - the b map ``DCGraph.b``: b(i) is the farthest neighbour j > i of i, else
   i itself, with b(0) = 1.  It is nondecreasing and fixes the graph;
-  ``b_to_dc`` gives the graph back.  The walls, plans and jump orders of
-  the other modules are read from it.
+  ``b_to_dc`` gives the graph back.  Everything else is read from it: the
+  walls ``DCGraph.walls``, the Dyck word (b(i) - b(i-1) up-steps, then a
+  down-step, for each i), the enumeration order (decreasing b maps, one
+  graph at a time in ``dc_graphs``), and the plans and jump orders of the
+  other modules.
 
-``bits`` and ``b`` are computed on first use and cached on the instance,
-outside the dataclass fields.  ``regions_adjacent`` tests the antichain
-condition on the XOR of two masks against per-n tables of strict
-containers; ``is_antichain`` is the plain reference on arbitrary edge sets
-and ``adjacency_mm_condition`` an independent second characterization.
+``bits``, ``b`` and ``walls`` are computed on first use and cached on the
+instance, outside the dataclass fields.  ``regions_adjacent`` tests the
+antichain condition on the XOR of two masks against per-n tables of
+strict containers; ``is_antichain`` is the plain reference on arbitrary
+edge sets and ``adjacency_mm_condition`` an independent second
+characterization.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 Edge = tuple[int, int]
 
@@ -85,11 +89,26 @@ class DCGraph:
                 b[i] = j
         return tuple(b)
 
+    @cached_property
+    def walls(self) -> tuple[tuple[int, int, bool], ...]:
+        """The O(N) walls (i, j, is_maximal) of the region, by increasing i:
+        the maximal edge (i, b(i)) when b(i) > i and b(i-1) < b(i), and the
+        addable pair (i, b(i) + 1) when b(i) < N and b(i) = i or
+        b(i+1) > b(i).  They are maximal_edges and addable_edges."""
+        b, n = self.b, self.n
+        walls = []
+        for i in range(1, n + 1):
+            if b[i] > i and b[i - 1] < b[i]:
+                walls.append((i, b[i], True))
+            if b[i] < n and (b[i] == i or b[i + 1] > b[i]):
+                walls.append((i, b[i] + 1, False))
+        return tuple(walls)
+
     @property
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
 
-    # edges go in sorted, as in dyck_to_dc, so a graph prints the same
+    # edges go in sorted, as in b_to_dc, so a graph prints the same
     # (frozenset order) whichever way it was reached
     def with_edge(self, e: Edge) -> "DCGraph":
         return DCGraph(self.n, frozenset(sorted(self.edges | {e})))
@@ -149,82 +168,80 @@ class DyckPath:
     def n(self) -> int:
         return len(self.word) // 2
 
-    @property
-    def steps(self) -> tuple[int, ...]:
-        return tuple(1 if c == "+" else -1 for c in self.word)
 
-    @property
-    def heights(self) -> tuple[int, ...]:
-        """Heights at integer abscissas 0..2n."""
-        out = [0]
-        for s in self.steps:
-            out.append(out[-1] + s)
-        return tuple(out)
-
-
-@lru_cache(maxsize=4096)
 def dc_to_dyck(g: DCGraph) -> DyckPath:
-    """Supremum of the broken lines of all edges and vertex tents.
+    """The Dyck word of g: for each i, b(i) - b(i-1) up-steps and then one
+    down-step, with b(0) read as 0.  O(N), cached by b map.
 
-    Vertex i contributes a unit tent peaking at abscissa 2i-1; edge (i, j)
-    contributes a tent of height j-i+1 peaking at abscissa i+j-1.  The
-    supremum, read off as +/- unit steps, is the Dyck word.
+    It is the supremum of the unit tents of the vertices (peaks at
+    abscissas 2i-1) and the tents of height j-i+1 of the edges (i, j)
+    (peaks at i+j-1), read off as +/- unit steps.
     """
-    h = [0] * (2 * g.n + 1)
-    for i in range(1, g.n + 1):
-        for x in (2 * i - 2, 2 * i - 1, 2 * i):
-            h[x] = max(h[x], 1 - abs(x - (2 * i - 1)))
-    for (i, j) in g.edges:
-        apex_x, apex_h = i + j - 1, j - i + 1
-        for x in range(2 * i - 1, 2 * j):
-            h[x] = max(h[x], apex_h - abs(x - apex_x))
-    word = "".join("+" if h[x + 1] > h[x] else "-" for x in range(2 * g.n))
-    return DyckPath(word)
+    return _dyck_of_b(g.b)
+
+
+# reports and sweep rows ask again for the words of the walk's few graphs;
+# keyed by b map, so a stream of new graphs hashes no edge sets
+@lru_cache(maxsize=4096)
+def _dyck_of_b(b: tuple[int, ...]) -> DyckPath:
+    b = (0, *b[1:])
+    return DyckPath("".join("+" * (b[i] - b[i - 1]) + "-" for i in range(1, len(b))))
 
 
 def dyck_to_dc(path: DyckPath) -> DCGraph:
-    """Inverse bijection: (i, j) is an edge iff the path reaches height
-    j-i+1 at abscissa i+j-1 (so the whole edge tent fits under the path)."""
-    h = path.heights
-    n = path.n
-    edges = frozenset((i, j) for (i, j) in all_pairs(n) if h[i + j - 1] >= j - i + 1)
-    return DCGraph(n, edges)
+    """Inverse bijection: b(i) is the number of up-steps before the i-th
+    down-step, p - k for the down-step at p with k down-steps before it."""
+    downs = [p for p, c in enumerate(path.word) if c == "-"]
+    return b_to_dc((1, *(p - k for k, p in enumerate(downs))))
 
 
-def _dyck_words(n: int) -> list[str]:
-    """All Dyck words of length 2n in lexicographic order ('+' < '-')."""
-    out: list[str] = []
-
-    def grow(prefix: list[str], ups: int, downs: int) -> None:
-        if ups == n and downs == n:
-            out.append("".join(prefix))
+def _b_maps(n: int) -> Iterator[tuple[int, ...]]:
+    """Every b map on [1, n] (index 0..n) in decreasing lexicographic
+    order, which is the lexicographic order of the Dyck words ('+' < '-'):
+    where two maps first differ, the larger b(i) puts a '+' where the
+    smaller one puts its i-th '-'.  After the complete graph's, each map
+    is the one before with its last lowerable entry lowered by one and
+    every entry after it raised to n."""
+    b = [1] + [n] * n
+    while True:
+        yield tuple(b)
+        i = n
+        while i and b[i] == max(i, b[i - 1]):
+            i -= 1
+        if not i:
             return
-        if ups < n:
-            prefix.append("+")
-            grow(prefix, ups + 1, downs)
-            prefix.pop()
-        if downs < ups:
-            prefix.append("-")
-            grow(prefix, ups, downs + 1)
-            prefix.pop()
+        b[i] -= 1
+        b[i + 1:] = [n] * (n - i)
 
-    grow([], 0, 0)
-    return out
+
+def _graph_of_b(b: tuple[int, ...]) -> DCGraph:
+    """The DC graph with b map b (index 0..N), its edges put in sorted, so
+    it prints the same however it was reached."""
+    n = len(b) - 1
+    return DCGraph(n, frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, b[i] + 1)))
+
+
+# the walk in regions and f_map in cyclic reach graphs by their b maps;
+# the enumeration builds its graphs uncached
+b_to_dc = lru_cache(maxsize=4096)(_graph_of_b)
+
+
+def dc_graphs(n: int) -> Iterator[DCGraph]:
+    """All DC graphs on [1, n], built one at a time, in the order of
+    enumerate_dc; n is checked here, before the first graph is asked for."""
+    if n < 1:
+        raise ValueError("vertex count must be >= 1")
+    return map(_graph_of_b, _b_maps(n))
 
 
 @lru_cache(maxsize=16)
-def _enumerate_dc_cached(n: int) -> tuple[DCGraph, ...]:
-    return tuple(dyck_to_dc(DyckPath(w)) for w in _dyck_words(n))
-
-
 def enumerate_dc(n: int) -> tuple[DCGraph, ...]:
-    """All DC graphs on [1, n], ordered by their Dyck word (lexicographic).
+    """All DC graphs on [1, n], ordered by their Dyck word (lexicographic):
+    the cached tuple of dc_graphs(n).
 
     The order is a fixed convention giving stable graph ids across runs.
     """
-    if n < 1:
-        raise ValueError("vertex count must be >= 1")
-    return _enumerate_dc_cached(n)
+    return tuple(dc_graphs(n))
 
 
 def _ballot(height: int, steps: int) -> int:
@@ -240,16 +257,11 @@ def graph_index(g: DCGraph) -> int:
     """Position of g in the canonical enumeration order: the lexicographic
     rank of its Dyck word, which counts, at every '-' step, the completions
     of the same prefix that take '+' there instead (Knuth, TAOCP 4A
-    7.2.1.6).  O(N^2) arithmetic; enumerate_dc is never built."""
-    word = dc_to_dyck(g).word
-    rank = height = 0
-    for k, c in enumerate(word):
-        if c == "-":
-            rank += _ballot(height + 1, len(word) - k - 1)
-            height -= 1
-        else:
-            height += 1
-    return rank
+    7.2.1.6).  The i-th '-' follows b(i) '+' and i-1 '-', so it starts at
+    height b(i) - i + 1 with 2N - b(i) - i steps after it.  O(N)
+    binomials; enumerate_dc is never built."""
+    b, n = g.b, g.n
+    return sum(_ballot(b[i] - i + 2, 2 * n - b[i] - i) for i in range(1, n + 1))
 
 
 def b_map(g: DCGraph, i: int) -> int:
@@ -259,16 +271,7 @@ def b_map(g: DCGraph, i: int) -> int:
     return g.b[i]
 
 
-# the walk in regions and f_map in cyclic reach graphs by their b maps
-@lru_cache(maxsize=4096)
-def b_to_dc(b: tuple[int, ...]) -> DCGraph:
-    """The DC graph with b map b (index 0..N), its edges put in sorted (as
-    in dyck_to_dc), so it prints the same however it was reached."""
-    n = len(b) - 1
-    return DCGraph(n, frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, b[i] + 1)))
-
-
-# region checks ask for m(G) and M(G) of the same few graphs at every point
+# adjacency_mm_condition asks for m(G1) and M(G1) against every other G2
 @lru_cache(maxsize=4096)
 def maximal_edges(g: DCGraph) -> frozenset[Edge]:
     """m(G): edges maximal for the nesting order.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 
-from .params import Number, Params, is_exact_scalar
+from .params import Number, Params, ParamsError, format_number, is_exact_scalar, parse_number
 
 _REL_TIE = 1e-12
 _SIGN = itemgetter(1)
@@ -65,8 +65,19 @@ class BinConfig:
         return self.volumes[i] if 0 <= i < len(self.volumes) else 0
 
     def to_json_dict(self) -> dict:
-        from .params import format_number
         return {"front": self.front, "volumes": [format_number(v) for v in self.volumes]}
+
+    @classmethod
+    def from_json_dict(cls, obj, exact: bool) -> "BinConfig":
+        """Read {"front": int, "volumes": [...]}, each volume parsed by
+        parse_number (exactly when exact); ParamsError if obj has another
+        shape, ValueError if a volume is not positive."""
+        if not isinstance(obj, dict):
+            raise ParamsError('params file needs a "bins" object {"front": int, "volumes": [...]}')
+        front, volumes = obj.get("front"), obj.get("volumes")
+        if not (isinstance(front, int) and not isinstance(front, bool) and isinstance(volumes, list)):
+            raise ParamsError(f'bad "bins" object: {obj!r}')
+        return cls(front, tuple(parse_number(str(v), exact) for v in volumes))
 
 
 @dataclass(frozen=True)

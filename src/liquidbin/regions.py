@@ -44,9 +44,6 @@ class _Plan(NamedTuple):
     # gammas[i] with h == j or j reachable from h, increasing
     paths: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
     rated: tuple[tuple[int, ...], ...]  # i -> i and the j of paths[i] with b(j) != b(j-1)
-    # the O(N) walls (i, j, is_maximal): the maximal edges (i, b(i)) and
-    # the addable pairs (i, b(i) + 1), by increasing i
-    walls: tuple[tuple[int, int, bool], ...]
 
 
 @lru_cache(maxsize=4096)
@@ -73,10 +70,6 @@ def _plan_b(b: tuple[int, ...]) -> _Plan:
     sums, except where a weight overflows to inf: there the dense sums
     held 0 * inf = nan terms, and a solution that already holds nan or
     inf can differ in its other components.
-
-    The walls come from b alone: (i, b(i)) is maximal when b(i) > i and
-    b(i-1) < b(i), and (i, b(i) + 1) is addable when b(i) < N and
-    b(i) = i or b(i+1) > b(i).
     """
     n = len(b) - 1
     gammas: list = [()] * (n + 1)
@@ -93,13 +86,7 @@ def _plan_b(b: tuple[int, ...]) -> _Plan:
         reach[i] = tuple(sorted(heads))
         paths[i] = _shared(tuple(_shared((j, _shared(tuple(heads[j])))) for j in reach[i]))
         rated[i] = _shared(tuple(j for j in (i, *reach[i]) if b[j] != b[j - 1]))
-    walls = []
-    for i in range(1, n + 1):
-        if b[i] > i and b[i - 1] < b[i]:
-            walls.append((i, b[i], True))
-        if b[i] < n and (b[i] == i or b[i + 1] > b[i]):
-            walls.append((i, b[i] + 1, False))
-    return _Plan(b, tuple(gammas), tuple(paths), tuple(rated), tuple(walls))
+    return _Plan(b, tuple(gammas), tuple(paths), tuple(rated))
 
 
 def _path_weights(plan: _Plan, q: Sequence[Number]) -> list[dict[int, Number]]:
@@ -241,7 +228,7 @@ def _region_gaps(g: DCGraph, z: Sequence[Number], tol: Number) -> tuple[bool, fr
     tau = tol * z1
     flags = set()
     ok = True
-    for (i, j, is_maximal) in _plan_b(g.b).walls:
+    for (i, j, is_maximal) in g.walls:
         gap = z1 - sum(z[i:j])
         if abs(gap) <= tau:
             flags.add((i, j))
@@ -358,7 +345,7 @@ def _walk(params: Params, b: tuple[int, ...] | None = None) -> tuple[DCGraph, tu
         z = solve_system(g, params)
         if b in seen:
             return g, z, None
-        flags = _holds(_plan_b(b).walls, z)
+        flags = _holds(g.walls, z)
         if flags is not None:
             return g, z, flags
         seen.add(b)
@@ -427,10 +414,10 @@ def boundary_gap(g: DCGraph, params: Params, e: Edge) -> BoundaryGap:
     e, plus its rescaled variant whose denominator strips the z_1 feedback;
     both vanish together and share their strict sign."""
     i, j = e
-    plan = _plan_b(g.b)
-    if e not in {w[:2] for w in plan.walls}:
+    if e not in {w[:2] for w in g.walls}:
         raise ValueError(f"{e} is not a wall edge (neither maximal nor addable) for this graph")
     q = params.q
+    plan = _plan_b(g.b)
     b, rows = plan.b, _path_weights(plan, q)
     z = solve_system(g, params)
     zij = sum(z[i:j])

@@ -255,6 +255,23 @@ def test_enumerate_rows(capsys):
     assert json.loads(rows[0]["edges"]) == [[1, 2], [1, 3], [2, 3]]
 
 
+def test_enumerate_streams_its_rows(tmp_path, capsys):
+    # the 4,862 rows at N = 9 are written as they are built: the graph
+    # tuple and the row list took 12 MB of traced allocation, the 4,096
+    # cached Dyck words take about 2 MB
+    path = tmp_path / "graphs.csv"
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(capsys, "enumerate", "--n", "9", "--out", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and peak < 5 * 10**6
+    rows = list(csv.DictReader(path.read_text().splitlines()))
+    assert [(r["graph_id"], r["dyck"]) for r in rows] == [
+        (str(i), dc_to_dyck(g).word) for i, g in enumerate(enumerate_dc(9))]
+
+
 def test_adjacency_table(capsys):
     code, out, _ = run_cli(capsys, "adjacency", "--n", "3")
     assert code == EXIT_OK
@@ -408,6 +425,23 @@ def test_sweep_grid_above_the_bound_exits_2_before_it_is_built(capsys, vary, fix
     assert code == EXIT_BAD_INPUT
     assert out == "" and err.startswith("error:") and "1000000 grid points" in err
     assert peak < 10**6
+
+
+@pytest.mark.parametrize("mode, values", [([], ["0.0", "0.4", "0.8"]), (["--exact"], ["0", "2/5", "4/5"])])
+def test_sweep_range_never_passes_stop(capsys, mode, values):
+    # (stop - start)/step = 2.5: exact mode also gave 6/5, past stop = 1
+    code, out, _ = run_cli(capsys, "sweep", *mode, "--fixed", "a1=1,a2=2,p2=2-p1", "--vary", "p1=0:1:0.4")
+    assert code == EXIT_OK
+    assert [r["p1"] for r in csv.DictReader(out.splitlines())] == values
+
+
+def test_sweep_range_takes_no_step_past_its_last_value(capsys):
+    # 2^53 - 2, 2^53 - 1, 2^53: one more step would not advance past 2^53,
+    # but the count stops the range before that step is taken
+    code, out, _ = run_cli(capsys, "sweep", "--vary", "a1=9007199254740990:9007199254740992:1", "--fixed", "p1=1")
+    assert code == EXIT_OK
+    assert [r["a1"] for r in csv.DictReader(out.splitlines())] == [
+        "9007199254740990.0", "9007199254740991.0", "9007199254740992.0"]
 
 
 def test_sweep_without_coordinate_names_exits_2(capsys):

@@ -18,6 +18,7 @@ from liquidbin.combinatorics import (
     b_to_dc,
     catalan,
     connected_component_of_one,
+    dc_graphs,
     dc_to_dyck,
     dyck_to_dc,
     edge_nested,
@@ -68,10 +69,12 @@ def test_enumeration_matches_brute_force():
 def test_enumeration_rejects_n_zero():
     with pytest.raises(ValueError):
         enumerate_dc(0)
+    with pytest.raises(ValueError):
+        dc_graphs(0)  # at the call, before any graph is asked for
 
 
 def test_enumeration_order_is_dyck_lexicographic():
-    for n in range(1, 7):
+    for n in range(1, 10):
         words = [dc_to_dyck(g).word for g in enumerate_dc(n)]
         assert words == sorted(words)
         assert len(set(words)) == len(words)
@@ -122,6 +125,37 @@ def test_bijection_examples():
     assert dc_to_dyck(DCGraph.complete(3)).word == "+++---"
 
 
+def tent_dyck_word(g):
+    """The oracle for dc_to_dyck: the supremum of the broken lines of the
+    vertex and edge tents, read off as +/- unit steps.  Vertex i
+    contributes a unit tent peaking at abscissa 2i-1, edge (i, j) a tent
+    of height j-i+1 peaking at abscissa i+j-1.  O(N^3)."""
+    h = [0] * (2 * g.n + 1)
+    for i in range(1, g.n + 1):
+        for x in (2 * i - 2, 2 * i - 1, 2 * i):
+            h[x] = max(h[x], 1 - abs(x - (2 * i - 1)))
+    for (i, j) in g.edges:
+        apex_x, apex_h = i + j - 1, j - i + 1
+        for x in range(2 * i - 1, 2 * j):
+            h[x] = max(h[x], apex_h - abs(x - apex_x))
+    return "".join("+" if h[x + 1] > h[x] else "-" for x in range(2 * g.n))
+
+
+def test_dyck_word_is_the_tent_supremum():
+    for n in range(1, 9):
+        for g in enumerate_dc(n):
+            assert dc_to_dyck(g).word == tent_dyck_word(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(10, 40).flatmap(dyck_words))
+def test_dyck_word_is_the_tent_supremum_at_large_n(word):
+    # the tent map is injective, so this also makes dyck_to_dc its inverse
+    g = dyck_to_dc(DyckPath(word))
+    assert tent_dyck_word(g) == word
+    assert dc_to_dyck(g).word == word
+
+
 def test_bijection_roundtrip():
     for n in range(1, 8):
         for g in enumerate_dc(n):
@@ -162,6 +196,14 @@ def test_b_is_the_edge_scan_and_b_to_dc_inverts_it():
             h = b_to_dc(b)
             assert h == g and repr(h) == repr(g) and list(h.edges) == list(g.edges)
             assert b_to_dc(b) is h  # cached by value
+
+
+def test_walls_are_the_maximal_and_addable_edges():
+    # read from b, against the edge-set rules, maximal edges flagged True
+    for n in range(1, 9):
+        for g in enumerate_dc(n):
+            want = [(*e, True) for e in maximal_edges(g)] + [(*e, False) for e in addable_edges(g)]
+            assert g.walls == tuple(sorted(want))
 
 
 def test_maximal_edges_examples():
@@ -420,6 +462,6 @@ def test_graph_json_roundtrip():
 
 
 def test_graph_index_is_stable():
-    for n in range(1, 6):
+    for n in range(1, 10):
         for i, g in enumerate(enumerate_dc(n)):
             assert graph_index(g) == i

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -17,7 +18,7 @@ from liquidbin.dynamics import (
     step_cars,
     windowed_volumes,
 )
-from liquidbin.params import Params
+from liquidbin.params import Params, ParamsError
 
 FIG1 = Params((F(3, 2), F(5, 2)), (F(1, 2), F(3, 2)))
 FIG1_BINS = BinConfig(front=2, volumes=(F(1), F(3, 2), F(3, 2)))
@@ -33,6 +34,18 @@ def test_config_validation():
         CarConfig((F(1), F(2)))  # not decreasing
     with pytest.raises(ValueError):
         CarConfig((F(1), F(-1)))
+
+
+def test_bin_config_json_round_trip():
+    rng = random.Random(17)
+    for _ in range(50):
+        x = random_bin_config(rng, random_rational_params(rng, rng.randint(1, 5)))
+        assert BinConfig.from_json_dict(json.loads(json.dumps(x.to_json_dict())), True) == x
+    x = BinConfig(front=-2, volumes=(0.1, 1 / 3, 2.5e-300))
+    assert BinConfig.from_json_dict(json.loads(json.dumps(x.to_json_dict())), False) == x
+    for bad in (None, [], {"front": 1}, {"front": True, "volumes": [1]}, {"front": 1, "volumes": "1"}):
+        with pytest.raises(ParamsError):
+            BinConfig.from_json_dict(bad, True)
 
 
 def test_cursors_examples():
