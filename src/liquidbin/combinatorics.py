@@ -192,7 +192,7 @@ def dyck_to_dc(path: DyckPath) -> DCGraph:
     """Inverse bijection: b(i) is the number of up-steps before the i-th
     down-step, p - k for the down-step at p with k down-steps before it."""
     downs = [p for p, c in enumerate(path.word) if c == "-"]
-    return b_to_dc((1, *(p - k for k, p in enumerate(downs))))
+    return _cached_graph_of_b((1, *(p - k for k, p in enumerate(downs))))
 
 
 def _b_maps(n: int) -> Iterator[tuple[int, ...]]:
@@ -215,15 +215,36 @@ def _b_maps(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _graph_of_b(b: tuple[int, ...]) -> DCGraph:
-    """The DC graph with b map b (index 0..N), its edges put in sorted, so
-    it prints the same however it was reached."""
+    """The DC graph of a valid b map b (index 0..N), with b cached on it.
+    DCGraph's range and downward-closure checks are skipped: the edges
+    (i, j), i < j <= b(i), of a b map pass them by construction.  The
+    edges go in sorted and are frozen a second time, as DCGraph(n, edges)
+    freezes them, so the graph iterates and prints its edges in the same
+    order however it was reached."""
     n = len(b) - 1
-    return DCGraph(n, frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, b[i] + 1)))
+    edges = frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, b[i] + 1))
+    g = object.__new__(DCGraph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "edges", frozenset(list(edges)))
+    object.__setattr__(g, "b", b)
+    return g
 
 
-# the walk in regions and f_map in cyclic reach graphs by their b maps;
-# the enumeration builds its graphs uncached
-b_to_dc = lru_cache(maxsize=4096)(_graph_of_b)
+# the walk in regions, dyck_to_dc and connected_component_of_one reach
+# graphs by b maps valid by construction; the enumeration builds its
+# graphs uncached
+_cached_graph_of_b = lru_cache(maxsize=4096)(_graph_of_b)
+
+
+def b_to_dc(b: tuple[int, ...]) -> DCGraph:
+    """The DC graph with b map b (index 0..N), cached by b map.  b is
+    checked in O(N): ValueError unless its entries are ints, b(0) = 1,
+    i <= b(i) <= N and b is nondecreasing."""
+    n = len(b) - 1
+    if not (n >= 1 and all(type(x) is int for x in b) and b[0] == 1
+            and all(max(i, b[i - 1]) <= b[i] <= n for i in range(1, n + 1))):
+        raise ValueError(f"not a b map: {b!r}")
+    return _cached_graph_of_b(b)
 
 
 def dc_graphs(n: int) -> Iterator[DCGraph]:
@@ -394,4 +415,4 @@ def connected_component_of_one(g: DCGraph) -> DCGraph:
     """
     b = g.b
     k = next(k for k in range(1, g.n + 1) if b[k] == k)
-    return b_to_dc(b[:k + 1])
+    return _cached_graph_of_b(b[:k + 1])

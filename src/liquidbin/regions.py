@@ -10,20 +10,25 @@ stationarity equations): in floating point to propose a graph, then in
 the point's own arithmetic to confirm it, and it reports near-equalities
 as wall flags instead of guessing.  find_region, the exhaustive scan of
 every graph, is the reference the tests compare it with.
+
+Each b map's solve is read from a cached plan of its nonzero terms; once
+a b map has been solved _COMPILE_AFTER times, the plan is compiled into
+a straight-line Python function that computes the same terms in the same
+order, so hot graphs skip the interpretation and cold ones the compile.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .combinatorics import (
     DCGraph,
     DyckPath,
     Edge,
+    _cached_graph_of_b,
     all_pairs,
-    b_to_dc,
     dc_to_dyck,
     enumerate_dc,
     graph_index,
@@ -33,8 +38,16 @@ from ._parallel import parallel_map
 from .params import Number, Params, ParamsError, parse_number
 
 
-class _Plan(NamedTuple):
-    """Index structure of a graph's linear system (see _plan_b)."""
+# solves a plan interprets before it compiles its kernel: the compile
+# (0.2 ms at N = 3, 0.7 ms at N = 8) pays for itself after 23-29 solves
+# at N = 3..12, measured on random graphs
+_COMPILE_AFTER = 32
+
+
+@dataclass(eq=False, slots=True)
+class _Plan:
+    """Index structure of a graph's linear system (see _plan_b), and the
+    solve compiled from it once the b map is hot (see _compile)."""
 
     b: tuple[int, ...]  # b map, index 0..N
     # i -> (h, mid) per edge (i, h) whose weight
@@ -44,6 +57,8 @@ class _Plan(NamedTuple):
     # gammas[i] with h == j or j reachable from h, increasing
     paths: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
     rated: tuple[tuple[int, ...], ...]  # i -> i and the j of paths[i] with b(j) != b(j-1)
+    solves: int = 0  # solves interpreted so far
+    kernel: Callable | None = None  # _compile(self), after _COMPILE_AFTER solves
 
 
 @lru_cache(maxsize=4096)
@@ -70,6 +85,11 @@ def _plan_b(b: tuple[int, ...]) -> _Plan:
     sums, except where a weight overflows to inf: there the dense sums
     held 0 * inf = nan terms, and a solution that already holds nan or
     inf can differ in its other components.
+
+    solve_system reads the plan term by term for its first _COMPILE_AFTER
+    solves, then runs its kernel: the same terms written out as Python
+    source and compiled once (see _compile).  The kernel lives on the
+    plan, so it leaves this cache with it.
     """
     n = len(b) - 1
     gammas: list = [()] * (n + 1)
@@ -87,6 +107,53 @@ def _plan_b(b: tuple[int, ...]) -> _Plan:
         paths[i] = _shared(tuple(_shared((j, _shared(tuple(heads[j])))) for j in reach[i]))
         rated[i] = _shared(tuple(j for j in (i, *reach[i]) if b[j] != b[j - 1]))
     return _Plan(b, tuple(gammas), tuple(paths), tuple(rated))
+
+
+def _kernel_source(plan: _Plan) -> str:
+    """Python source of solve(q, d) -> z for the plan's graph: one
+    statement per edge weight g{i}_{h}, path weight w{i}_{j}, gap sum s{i}
+    and rate sum r{i}.  The terms are those of _path_weights and
+    _interpret's gap_sum and rate_sum, in the same order, each computed as
+    they compute it, with two rewrites that move no bit: a path weight of
+    1 drops out of its product (x * 1 and 1 * x are x, in value and type,
+    for a float or a Fraction), and each rate difference
+    q[b(j)] - q[b(j-1)] is a local e{j}, computed once.  Every sum is one
+    sum((t1, t2, ...)) call, never t1 + t2, so it rounds as the
+    interpreted sum() does on every Python version, compensated (3.12+)
+    or not.  Only the plan's integer indices reach the text."""
+    b = tuple(map(int, plan.b))
+    n = len(b) - 1
+    gammas, paths, rated = plan.gammas, plan.paths, plan.rated
+
+    def total(terms: list[str]) -> str:
+        return f"sum(({', '.join(terms)},))" if terms else "0"  # sum(()) is the int 0
+
+    lines = ["def solve(q, d):",
+             f"    {''.join(f'q{k}, ' for k in range(n + 1))}= q",
+             f"    {''.join(f'd{k}, ' for k in range(1, n + 1))}= d"]
+    for i in range(n, 0, -1):
+        for h, mid in gammas[i]:
+            lines.append(f"    g{i}_{h} = (q{b[i]} - q{int(mid)}) / q{b[i - 1]}")
+        for j, heads in paths[i]:
+            lines.append(f"    w{i}_{j} = " + total([f"g{i}_{h}" if h == j else f"g{i}_{h} * w{h}_{j}"
+                                                     for h in heads]))
+    for j in sorted({j for row in rated for j in row}):
+        lines.append(f"    e{j} = q{b[j]} - q{b[j - 1]}")
+    for i in range(1, n + 1):
+        gaps = [f"d{i} / q{b[i - 1]}"] + [f"w{i}_{j} * d{j} / q{b[j - 1]}" for j, _ in paths[i]]
+        lines.append(f"    s{i} = " + total(gaps))
+        rates = [f"e{j} / q{b[j - 1]}" if j == i else f"w{i}_{j} * e{j} / q{b[j - 1]}" for j in rated[i]]
+        lines.append(f"    r{i} = " + total(rates))
+    lines.append("    z1 = s1 / (1 + r1)")
+    lines.append(f"    return (z1, {''.join(f's{i} - z1 * r{i}, ' for i in range(2, n + 1))})")
+    return "\n".join(lines) + "\n"
+
+
+def _compile(plan: _Plan) -> Callable:
+    """The plan's kernel: _kernel_source compiled once."""
+    namespace: dict = {}
+    exec(compile(_kernel_source(plan), f"<solve kernel of b map {plan.b}>", "exec"), namespace)
+    return namespace.pop("solve")  # taken out, so kernel and namespace form no cycle
 
 
 def _path_weights(plan: _Plan, q: Sequence[Number]) -> list[dict[int, Number]]:
@@ -130,13 +197,30 @@ def solve_system(g: DCGraph, params: Params) -> tuple[Number, ...]:
 
     z_1 is a ratio of weighted gap sums; the remaining z_i follow from the
     triangular structure.  Exact when the parameters are Fractions.
+    ValueError unless g and params have the same N.
 
     The sums run over the graph's plan: O(N + nonzero path-weight terms)
     per call, each term (v * d) / q as in the dense formula, in the same
     order, the exact zeros left out (see _plan_b for why no bit changes).
+    A b map's first _COMPILE_AFTER solves read the plan term by term; the
+    later ones run its compiled kernel, which computes the same terms in
+    the same order, so the two give the same bits.
     """
-    n, q, d = params.n, params.q, params.d
     plan = _plan_b(g.b)
+    q, d = params.q, params.d
+    if len(q) != len(plan.b):
+        raise ValueError(f"graph on {g.n} vertices, parameters for N = {params.n}")
+    kernel = plan.kernel
+    if kernel is None:
+        if plan.solves < _COMPILE_AFTER:
+            plan.solves += 1
+            return _interpret(plan, q, d)
+        kernel = plan.kernel = _compile(plan)
+    return kernel(q, d)
+
+
+def _interpret(plan: _Plan, q: Sequence[Number], d: Sequence[Number]) -> tuple[Number, ...]:
+    """solve_system read from the plan term by term."""
     b, rated = plan.b, plan.rated
     rows = _path_weights(plan, q)
 
@@ -149,7 +233,7 @@ def solve_system(g: DCGraph, params: Params) -> tuple[Number, ...]:
 
     z1 = gap_sum(1) / (1 + rate_sum(1))
     z = [z1]
-    for i in range(2, n + 1):
+    for i in range(2, len(b)):
         z.append(gap_sum(i) - z1 * rate_sum(i))
     return tuple(z)
 
@@ -341,7 +425,7 @@ def _walk(params: Params, b: tuple[int, ...] | None = None) -> tuple[DCGraph, tu
         b = (1, *range(1, params.n + 1))
     seen = set()
     while True:
-        g = b_to_dc(b)
+        g = _cached_graph_of_b(b)
         z = solve_system(g, params)
         if b in seen:
             return g, z, None
@@ -393,7 +477,7 @@ def classify(params: Params, tol: Number = 1e-9) -> RegionReport:
         g, z, flags = _exact_walk(params, proposal)
         return _report(params, g, z, True, flags)
     if proposal != g.b:
-        g = b_to_dc(proposal)
+        g = _cached_graph_of_b(proposal)
         z = solve_system(g, params)
     ok, flags = _region_gaps(g, z, tol)
     if not ok:

@@ -198,6 +198,17 @@ def test_b_is_the_edge_scan_and_b_to_dc_inverts_it():
             assert b_to_dc(b) is h  # cached by value
 
 
+@pytest.mark.parametrize("b", [
+    (), (1,), (0, 1, 2), (2, 2, 2), (1, 0, 2), (1, 2, 1), (1, 3, 2, 3), (1, 2, 3, 4), (1, 1, 3, 2),
+    (1, 2.0, 2), (1, True, 2), (1, "2", 2),
+], ids=repr)
+def test_b_to_dc_rejects_what_is_not_a_b_map(b):
+    # b(0) = 1, i <= b(i) <= N, nondecreasing, ints: else ValueError, not
+    # a graph built unchecked
+    with pytest.raises(ValueError, match="not a b map"):
+        b_to_dc(b)
+
+
 def test_walls_are_the_maximal_and_addable_edges():
     # read from b, against the edge-set rules, maximal edges flagged True
     for n in range(1, 9):

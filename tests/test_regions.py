@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import weakref
 from fractions import Fraction as F
 from math import prod
 
@@ -15,7 +17,7 @@ from conftest import (
     reference_walk,
     tied_phase_thresholds,
 )
-from liquidbin import regions
+from liquidbin import combinatorics, regions
 from liquidbin.combinatorics import (
     DCGraph,
     DyckPath,
@@ -769,6 +771,120 @@ def test_plan_keeps_zero_weights_out_of_the_sums():
     assert plan.paths[1] == tuple((j, (j,)) for j in range(2, 7))
     assert regions._plan_b(K(6).b) is plan  # cached by value
     assert regions._plan_b(DCGraph(6, frozenset(K(6).edges)).b) is plan
+
+
+# ---------------------------------------------------------------------------
+# the compiled kernel of a hot b map against the interpreted solve
+
+
+def _mixed_point(rng, n):
+    """Log-uniform gaps and rates over [1e-2, 1e2], each entry a float or,
+    by a coin flip, a nearby Fraction: Params of mixed types."""
+    def entry():
+        x = 10.0 ** rng.uniform(-2, 2)
+        return F(x).limit_denominator(10**6) if rng.random() < 0.5 else x
+    d, p = [entry() for _ in range(n)], [entry() for _ in range(n)]
+    return Params(tuple(itertools.accumulate(d)), tuple(p))
+
+
+def assert_kernel_matches(g, points, mixed):
+    """The compiled kernel against the interpreted solve and, on float and
+    exact points, the dense formula: same repr, same element types.  (On
+    mixed-type Params the dense float zero terms can turn an exact sum
+    into a float, so the interpreted solve is the reference there.)"""
+    plan = regions._plan_b(g.b)
+    kernel = regions._compile(plan)
+    for params in (*points, *mixed):
+        got = kernel(params.q, params.d)
+        wants = [regions._interpret(plan, params.q, params.d)]
+        if params in points:
+            wants.append(dense_solve_reference(g, params))
+        for want in wants:
+            assert repr(got) == repr(want), (g, params)
+            assert list(map(type, got)) == list(map(type, want)), (g, params)
+
+
+def test_kernel_is_bit_identical_on_every_graph_to_n8():
+    rng = random.Random(18)
+    for n in range(1, 9):
+        for g in enumerate_dc(n):
+            assert_kernel_matches(g, list(_float_and_exact_points(rng, n, 1)), [_mixed_point(rng, n)])
+
+
+def test_kernel_keeps_the_interpreted_bits_where_a_weight_overflows():
+    # edge (2, 3) weighs (q_3 - q_2) / q_1 = 1e10 / 1e-300 = inf: the plan's
+    # sums hold no 0 * inf terms, the dense ones do
+    g = b_to_dc((1, 1, 3, 3))
+    params = Params((1.0, 2.0, 3.0), (1e-300, 1.0, 1e10))
+    assert gamma(g, params, (2, 3)) == math.inf
+    assert_kernel_matches(g, [], [params])
+    assert not all(map(math.isfinite, solve_system(g, params)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(9, 20).flatmap(lambda n: st.tuples(dyck_words(n), st.integers(0, 2**32))))
+def test_kernel_is_bit_identical_at_larger_n(case):
+    word, seed = case
+    g = dyck_to_dc(DyckPath(word))
+    rng = random.Random(seed)
+    assert_kernel_matches(g, list(_float_and_exact_points(rng, g.n, 1)), [_mixed_point(rng, g.n)])
+
+
+@pytest.fixture
+def cold_plans():
+    """An empty plan cache, before and after the test."""
+    regions._plan_b.cache_clear()
+    yield
+    regions._plan_b.cache_clear()
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(regions, name)
+    monkeypatch.setattr(regions, name, lambda plan, *args: calls.append(plan.b) or real(plan, *args))
+    return calls
+
+
+def test_a_find_region_pass_compiles_no_kernel(cold_plans, monkeypatch):
+    compiled = _count_calls(monkeypatch, "_compile")
+    # the empty graph, last in canonical order: the pass solves all C_8 graphs
+    params = Params(tuple(itertools.accumulate(F(3) ** i for i in range(8))), (F(1),) * 8)
+    assert find_region(params) == (DCGraph.empty(8), frozenset())
+    assert regions._plan_b.cache_info().currsize == len(enumerate_dc(8))
+    assert compiled == []
+    assert all(regions._plan_b(g.b).kernel is None for g in enumerate_dc(8))
+
+
+def test_a_hot_b_map_compiles_once_and_then_runs_its_kernel(cold_plans, monkeypatch):
+    compiled = _count_calls(monkeypatch, "_compile")
+    interpreted = _count_calls(monkeypatch, "_interpret")
+    g = dyck_to_dc(DyckPath("++-+--+-+-"))
+    params = _mixed_point(random.Random(5), 5)
+    zs = {repr(solve_system(g, params)) for _ in range(regions._COMPILE_AFTER + 10)}
+    assert compiled == [g.b]
+    assert interpreted == [g.b] * regions._COMPILE_AFTER
+    assert regions._plan_b(g.b).kernel is not None
+    assert len(zs) == 1
+
+
+def test_evicting_a_plan_drops_its_kernel(cold_plans):
+    g = dyck_to_dc(DyckPath("++-+--+-+-"))
+    params = _mixed_point(random.Random(6), 5)
+    for _ in range(regions._COMPILE_AFTER + 1):
+        solve_system(g, params)
+    kernel = weakref.ref(regions._plan_b(g.b).kernel)
+    assert kernel() is not None
+    for b in itertools.islice(combinatorics._b_maps(9), 4096):  # fills the cache
+        regions._plan_b(b)
+    assert kernel() is None  # freed with its plan, no garbage collection needed
+    assert regions._plan_b(g.b).kernel is None and regions._plan_b(g.b).solves == 0
+
+
+def test_solve_system_rejects_parameters_of_another_size():
+    with pytest.raises(ValueError, match="parameters for N = 3"):
+        solve_system(K(4), WALL3)
+    with pytest.raises(ValueError, match="parameters for N = 3"):
+        solve_system(K(2), WALL3)
 
 
 def gap_edges_reference(z, margin):
