@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -264,19 +264,48 @@ class ProbeReport:
         }
 
 
+_SAMPLE_CHUNK = 64  # the probe draws its samples in batches of at most this many
+
+
+def _draw(rng: np.random.Generator, n: int, count: int) -> tuple[list, list]:
+    """Thresholds and rates of `count` consecutive samples of the law of
+    `sample_params`, drawn at once: one list of n floats per sample each.
+
+    Row k of the (count, 2, n) draw holds sample k's log-gaps, then its
+    log-rates, so the generator's doubles go where `count` calls of
+    `sample_params` would put them; the elementwise `10.0 **` and the
+    cumsum along each row give every value the bits it gets there.
+    """
+    x = 10.0 ** rng.uniform(-2.0, 2.0, size=(count, 2, n))
+    return np.cumsum(x[:, 0], axis=1).tolist(), x[:, 1].tolist()
+
+
 def sample_params(rng: np.random.Generator, n: int) -> Params:
-    """Log-uniform gaps and rates over [1e-2, 1e2]."""
-    d = 10.0 ** rng.uniform(-2.0, 2.0, size=n)
-    p = 10.0 ** rng.uniform(-2.0, 2.0, size=n)
-    return Params(tuple(np.cumsum(d).tolist()), tuple(p.tolist()))
+    """The probe's sampling law: gaps and rates log-uniform over
+    [1e-2, 1e2], n gaps then n rates from the generator per sample."""
+    (a,), (p,) = _draw(rng, n, 1)
+    return Params(tuple(a), tuple(p))
+
+
+def _probe_stream(rng: np.random.Generator, n: int, budget: int) -> Iterator[Params]:
+    """The samples of `budget` consecutive `sample_params` calls, drawn
+    in chunks of at most _SAMPLE_CHUNK, so no allocation grows with the
+    budget; each Params is built only when the probe asks for it."""
+    for start in range(0, budget, _SAMPLE_CHUNK):
+        a, p = _draw(rng, n, min(_SAMPLE_CHUNK, budget - start))
+        for ak, pk in zip(a, p):
+            yield Params(tuple(ak), tuple(pk))
 
 
 def conjecture_probe(g: DCGraph, budget: int, seed: int, tol: Number = 1e-9) -> ProbeReport:
     """Sample parameters, keep those landing in the region of g, and
     record which circular extensions occur as jump orders.
 
-    Stops early once every extension is realized.  Unrealized extensions
-    are reported as not found within the budget, never as refutations.
+    The samples are those of consecutive `sample_params` calls on
+    numpy's default generator seeded with `seed`; they are drawn a chunk
+    at a time, which moves no sample.  Stops early once every extension
+    is realized.  Unrealized extensions are reported as not found within
+    the budget, never as refutations.
     """
     _require_connected(g)
     if budget < 0:
@@ -286,8 +315,7 @@ def conjecture_probe(g: DCGraph, budget: int, seed: int, tol: Number = 1e-9) -> 
     rng = np.random.default_rng(seed)
     hits = skipped = used = 0
     remaining = set(extensions)
-    for used in range(1, budget + 1):
-        params = sample_params(rng, g.n)
+    for used, params in enumerate(_probe_stream(rng, g.n, budget), 1):
         report = classify(params, tol=tol)
         if report.ambiguous:
             skipped += 1  # within tolerance of a wall: never guess

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import gt, sub
 from typing import Sequence
 
 
@@ -54,64 +55,72 @@ def _ints_as_fractions(xs: Sequence[Number]) -> tuple[Number, ...]:
     return tuple(Fraction(x) if isinstance(x, int) and not isinstance(x, bool) else x for x in xs)
 
 
+def _validate(a: tuple[Number, ...], p: tuple[Number, ...]) -> None:
+    if len(a) == 0 or len(a) != len(p):
+        raise ParamsError(f"need N >= 1 thresholds and as many rates, got {len(a)} and {len(p)}")
+    for x in a + p:
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ParamsError(f"parameters must be finite, got {x}")
+    prev = 0
+    for i, ai in enumerate(a):
+        if not ai > prev:
+            raise ParamsError(f"thresholds must be positive and strictly increasing: a[{i}] = {ai}")
+        prev = ai
+    for i, pi in enumerate(p):
+        if not pi > 0:
+            raise ParamsError(f"rates must be positive: p[{i}] = {pi}")
+
+
 @dataclass(frozen=True)
 class Params:
     """Validated parameter vector (a, p) with derived gaps and rates.
 
-    d, q and is_exact are computed on first use and cached on the
-    instance, outside the dataclass fields, so equality, hashing and repr
-    are those of (a, p) alone; a pickled instance carries what it cached.
+    d, q and is_exact are computed at construction and stored on the
+    instance outside the dataclass fields, so equality, hashing and repr
+    are those of (a, p) alone; a pickled instance carries them, and
+    `dataclasses.replace` computes them anew.
     """
 
     a: tuple[Number, ...]
     p: tuple[Number, ...]
 
     def __post_init__(self) -> None:
-        # ints count as exact, so they are stored as Fractions: `/` on them
-        # would compute in float
-        object.__setattr__(self, "a", _ints_as_fractions(self.a))
-        object.__setattr__(self, "p", _ints_as_fractions(self.p))
-        if len(self.a) == 0 or len(self.a) != len(self.p):
-            raise ParamsError(
-                f"need N >= 1 thresholds and as many rates, got {len(self.a)} and {len(self.p)}"
-            )
-        for x in self.a + self.p:
-            if isinstance(x, float) and not math.isfinite(x):
-                raise ParamsError(f"parameters must be finite, got {x}")
-        prev = 0
-        for i, ai in enumerate(self.a):
-            if not ai > prev:
-                raise ParamsError(f"thresholds must be positive and strictly increasing: a[{i}] = {ai}")
-            prev = ai
-        for i, pi in enumerate(self.p):
-            if not pi > 0:
-                raise ParamsError(f"rates must be positive: p[{i}] = {pi}")
+        a, p = tuple(self.a), tuple(self.p)
+        xs = a + p
+        # one C-level pass accepts the common all-float input; anything
+        # else, or a failing check, goes through the loops of _validate,
+        # which raise the errors
+        if (
+            a
+            and len(a) == len(p)
+            and all(map(isinstance, xs, repeat(float)))
+            and all(map(math.isfinite, xs))
+            and a[0] > 0
+            and all(map(gt, a[1:], a))
+            and min(p) > 0
+        ):
+            is_exact = False
+        else:
+            # ints count as exact, so they are stored as Fractions: `/` on
+            # them would compute in float
+            a, p = _ints_as_fractions(a), _ints_as_fractions(p)
+            _validate(a, p)
+            is_exact = all(map(is_exact_scalar, a + p))
+        # gaps d_i = a_i - a_{i-1}, 1-based content (length N), and
+        # cumulative rates with sentinel: q[0] = 0, q[i] = p_1 + ... + p_i
+        d = (a[0] - 0,) + tuple(map(sub, a[1:], a))
+        q = tuple(accumulate(p, initial=0 * p[0]))
         # an infinite q_N makes the exact-zero edge weights inf - inf
-        if isinstance(self.q[-1], float) and not math.isfinite(self.q[-1]):
+        if isinstance(q[-1], float) and not math.isfinite(q[-1]):
             raise ParamsError(
-                f"cumulative rate p_1 + ... + p_N must be finite, overflows to {self.q[-1]}"
+                f"cumulative rate p_1 + ... + p_N must be finite, overflows to {q[-1]}"
             )
+        # the instance is frozen: its dict is written directly
+        vars(self).update(a=a, p=p, d=d, q=q, is_exact=is_exact)
 
     @property
     def n(self) -> int:
         return len(self.a)
-
-    @cached_property
-    def d(self) -> tuple[Number, ...]:
-        """Gaps d_i = a_i - a_{i-1}, 1-based content (length N)."""
-        return tuple(self.a[i] - (self.a[i - 1] if i else 0) for i in range(self.n))
-
-    @cached_property
-    def q(self) -> tuple[Number, ...]:
-        """Cumulative rates with sentinel: q[0] = 0, q[i] = p_1 + ... + p_i."""
-        out = [0 * self.p[0]]
-        for pi in self.p:
-            out.append(out[-1] + pi)
-        return tuple(out)
-
-    @cached_property
-    def is_exact(self) -> bool:
-        return all(is_exact_scalar(x) for x in self.a + self.p)
 
     def as_float(self) -> "Params":
         return Params(tuple(float(x) for x in self.a), tuple(float(x) for x in self.p))

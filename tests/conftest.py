@@ -4,11 +4,21 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from liquidbin import combinatorics, regions
-from liquidbin.cyclic import CyclicOrder, DisconnectedRegionError, WallTieError, _order_from_times
+from liquidbin.cyclic import (
+    CyclicOrder,
+    DisconnectedRegionError,
+    ProbeReport,
+    WallTieError,
+    _order_from_times,
+    circular_extensions,
+    jump_order,
+    sample_params,
+)
 from liquidbin.dynamics import BinConfig, _CarSim
 from liquidbin.params import Params
 from liquidbin.stationary import StationaryProfile, canonical_configuration
@@ -52,6 +62,49 @@ def replay_jump_order(params: Params, graph: combinatorics.DCGraph, z) -> Cyclic
     if set(first) != set(range(1, params.n + 1)):
         raise WallTieError(f"period replay saw jumps {sorted(first)} instead of all cursors")
     return _order_from_times([(t, i) for i, t in first.items()], profile.period, exact)
+
+
+def reference_conjecture_probe(
+    g: combinatorics.DCGraph, budget: int, seed: int, tol=1e-9
+) -> ProbeReport:
+    """cyclic.conjecture_probe with one `sample_params` call per sample:
+    the oracle for the probe, which draws its samples a chunk at a time."""
+    if combinatorics.connected_component_of_one(g).n != g.n:
+        raise DisconnectedRegionError(g)
+    extensions = circular_extensions(g)
+    counts = {z: 0 for z in extensions}
+    rng = np.random.default_rng(seed)
+    hits = skipped = used = 0
+    remaining = set(extensions)
+    for used in range(1, budget + 1):
+        params = sample_params(rng, g.n)
+        report = regions.classify(params, tol=tol)
+        if report.ambiguous:
+            skipped += 1
+            continue
+        if report.graph != g:
+            continue
+        hits += 1
+        try:
+            order = jump_order(params, tol=tol, graph=g, z=report.z)
+        except WallTieError:
+            skipped += 1
+            continue
+        counts[order] += 1
+        remaining.discard(order)
+        if not remaining:
+            break
+    return ProbeReport(
+        graph=g,
+        extensions=extensions,
+        realized=tuple(o for o in extensions if counts[o] > 0),
+        missing=tuple(o for o in extensions if counts[o] == 0),
+        counts=counts,
+        samples=used,
+        hits=hits,
+        skipped=skipped,
+        seed=seed,
+    )
 
 
 def reference_b(g: combinatorics.DCGraph) -> tuple[int, ...]:

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from fractions import Fraction as F
 from math import factorial
 
@@ -6,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_rational_params, reference_f_map, replay_jump_order
+from conftest import (
+    random_rational_params,
+    reference_conjecture_probe,
+    reference_f_map,
+    replay_jump_order,
+)
+from liquidbin import cyclic
 from liquidbin.combinatorics import DCGraph, connected_component_of_one, enumerate_dc
 from liquidbin.cyclic import (
     ChainConstraint,
@@ -252,6 +260,56 @@ def test_sample_params_ranges():
         params = sample_params(rng, 4)
         assert all(1e-2 <= d <= 1e2 for d in params.d)
         assert all(1e-2 <= p <= 1e2 for p in params.p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_consecutive_samples_are_one_chunked_draw(n):
+    for k in (0, 1, 2, 7, cyclic._SAMPLE_CHUNK, 2 * cyclic._SAMPLE_CHUNK + 3):
+        one_by_one, chunked, streamed = (np.random.default_rng(n + k) for _ in range(3))
+        samples = [sample_params(one_by_one, n) for _ in range(k)]
+        a, p = cyclic._draw(chunked, n, k)
+        assert [(s.a, s.p) for s in samples] == [(tuple(ak), tuple(pk)) for ak, pk in zip(a, p)]
+        assert list(cyclic._probe_stream(streamed, n, k)) == samples
+        assert one_by_one.bit_generator.state == chunked.bit_generator.state == streamed.bit_generator.state
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_probe_matches_the_one_sample_at_a_time_oracle(n):
+    chunk = cyclic._SAMPLE_CHUNK
+    for g in (g for g in enumerate_dc(n) if connected_component_of_one(g).n == n):
+        for seed in range(3):
+            for budget in (0, 1, chunk - 1, chunk, chunk + 1):
+                want = reference_conjecture_probe(g, budget, seed).to_json_dict()
+                assert conjecture_probe(g, budget, seed).to_json_dict() == want, (g, seed, budget)
+
+
+def test_probe_matches_the_oracle_when_it_stops_early():
+    budget = 10 * cyclic._SAMPLE_CHUNK
+    stops = []
+    for g, seed in ((K(3), 7), (L(4), 3), (G5, 2)):
+        got = conjecture_probe(g, budget, seed)
+        assert got.covered and got.samples < budget
+        assert got.to_json_dict() == reference_conjecture_probe(g, budget, seed).to_json_dict()
+        stops.append(got.samples)
+    # one probe stops inside the first chunk, one in a later chunk
+    assert min(stops) < cyclic._SAMPLE_CHUNK < max(stops)
+
+
+def test_probe_allocates_nothing_for_a_huge_budget():
+    # the CLI form, `conjecture --n 3 --budget 99999999999999999999`, is
+    # held to its recorded output in tests/data/extensions_golden.jsonl
+    small = conjecture_probe(L(4), 200, 3)
+    assert small.covered and small.samples == 51
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        rep = conjecture_probe(L(4), 10**12, 3)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.to_json_dict() == small.to_json_dict()
+    assert elapsed < 1.0 and peak < 2**20
 
 
 G5 = DCGraph(5, frozenset({(1, 2), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)}))

@@ -3,8 +3,10 @@
 tests/data/extensions_golden.jsonl holds one record per command: the
 argv (a graph file's contents in place of its path), the exit code and
 stdout.  They fix the chain order of zprime_chains, the extension lists
-and the probe counts, and were written by the code before the b map
-moved onto DCGraph.  The records are written with
+and the probe counts.  The `extensions` records and the `--n 4` probe
+were written by the code before the b map moved onto DCGraph; the other
+probes by the code that drew one sample per `sample_params` call, before
+the probe drew its samples in chunks.  The records are written with
 
     PYTHONPATH=src python tests/test_golden_extensions.py > tests/data/extensions_golden.jsonl
 """
@@ -23,7 +25,8 @@ GOLDEN = Path(__file__).parent / "data" / "extensions_golden.jsonl"
 
 def golden_commands() -> list[list]:
     """`extensions` for every connected graph at N = 1..6 (65 graphs, the
-    graph given as its JSON object), then one `conjecture` run."""
+    graph given as its JSON object), then four `conjecture` runs, the
+    last with a budget far beyond what any probe draws."""
     out = []
     for n in range(1, 7):
         for g in enumerate_dc(n):
@@ -31,6 +34,9 @@ def golden_commands() -> list[list]:
             if all((i, i + 1) in g.edges for i in range(1, n)):
                 out.append(["extensions", "--graph", g.to_json_dict()])
     out.append(["conjecture", "--n", "4", "--budget", "300", "--seed", "3"])
+    out.append(["conjecture", "--n", "5", "--budget", "200", "--seed", "7"])
+    out.append(["conjecture", "--n", "6", "--budget", "100", "--seed", "1"])
+    out.append(["conjecture", "--n", "3", "--budget", "99999999999999999999"])
     return out
 
 
