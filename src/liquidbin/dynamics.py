@@ -12,17 +12,29 @@ right tail sums intertwines the two dynamics exactly.
 Both simulators are generic over the scalar type: with Fraction inputs
 every event time is exact; with floats crossings are snapped to the sign
 positions and simultaneity is resolved with a relative 1e-12 tolerance.
+
+Each simulator has its own event loop, and both batch tied events by
+one rule (_exact_mode).  The bin simulator runs a loop generated and
+compiled once per N (_bin_loop_source), with the cursors, rates and
+pending times in locals; the car simulator, whose number of stored cars
+varies, runs one loop with every step written inline.  Both compute the
+terms of the generic loop they replaced in its order, so their results
+have its bits; tests/conftest.py keeps that loop as their reference.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import itemgetter
+from functools import lru_cache
+from itertools import accumulate, compress, repeat
+from operator import itemgetter, le
+from typing import Callable
 
 from .params import Number, Params, ParamsError, format_number, is_exact_scalar, parse_number
 
 _REL_TIE = 1e-12
+_TIE = 1 + _REL_TIE
 _SIGN = itemgetter(1)
 
 CURSOR_JUMP = "cursor-jump"
@@ -149,107 +161,92 @@ def sigma(x: BinConfig, params: Params) -> CarConfig:
     return CarConfig(tuple(reversed(ascending)))
 
 
-class _EventSim:
-    """Event core shared by the bin and car simulators: advance to the
-    earliest pending event, apply it together with every event tied with
-    it, and repeat until the duration runs out.  Each simulator lists its
-    pending events, moves its state and applies a batch."""
-
-    def __init__(self, params: Params, values: tuple[Number, ...]):
-        self.a = params.a
-        self.q = params.q
-        self.n = params.n
-        self.exact = params.is_exact and all(is_exact_scalar(v) for v in values)
-        self.t: Number = 0 * params.a[0]
-
-    def next_event(self) -> tuple[Number, list] | None:
-        """Time to the earliest pending event and the batch of events tied
-        with it: equal in exact mode, within a relative 1e-12 in float."""
-        times, events = self._pending()
-        if not times:
-            return None
-        dt = min(times)
-        cutoff = dt if self.exact else dt * (1 + _REL_TIE)
-        batch = []
-        for d, e in zip(times, events):
-            if d <= cutoff:
-                batch.append(e)
-        return dt, batch
-
-    def run(self, duration: Number) -> None:
-        """Advance by duration; events landing exactly at the final
-        instant are applied."""
-        remaining = duration
-        while remaining > 0:
-            nxt = self.next_event()
-            if nxt is None or nxt[0] > remaining:
-                self._move(remaining)
-                self.t = self.t + remaining
-                return
-            dt, batch = nxt
-            self._move(dt)
-            self.t = self.t + dt
-            remaining = remaining - dt
-            self._apply(batch)
+def _check_duration(t: Number) -> None:
+    if not 0 <= t < math.inf:  # nan fails both comparisons
+        raise ValueError("duration must be finite and nonnegative")
 
 
-class _CarSim(_EventSim):
+def _exact_mode(params: Params, values: tuple[Number, ...]) -> bool:
+    """Whether a run ties only equal event times: when the parameters and
+    the start state are all exact scalars.  Otherwise events within a
+    relative _REL_TIE of the earliest join its batch, at or below
+    dt * _TIE.  Both simulators take their batches by this one rule."""
+    return params.is_exact and all(is_exact_scalar(v) for v in values)
+
+
+class _CarSim:
     """Mutable car-model state; positions descending, the trailing entry
     is the head of the queue at 0."""
 
     def __init__(self, y: CarConfig, params: Params):
-        super().__init__(params, y.positions)
         if y.positions and not y.positions[0] < params.a[-1]:
             raise ValueError("stored car positions must lie below a_N")
+        self.a, self.q, self.n = params.a, params.q, params.n
+        self.exact = _exact_mode(params, y.positions)
+        self.t: Number = 0 * params.a[0]
         self.pos: list[Number] = list(y.positions)
         self.ids: list[int] = list(range(len(self.pos)))
         self._next_id = len(self.pos)
-        self._respawn_zero()
-        self.crossings: list[tuple[Number, int, int]] = []  # (time, sign, car id)
-        self.speeds: list[Number] = []  # of the stored cars, set by _pending
-
-    def _pending(self) -> tuple[list[Number], list[tuple[int, int]]]:
-        """Times to the next sign and (car slot, sign) for every car that is
-        heading to a sign.
-
-        One pass finds each car's sign index and its speed, q at the sign
-        index of the car ahead (q_N for the first).  The speeds are kept
-        for _move: they hold until the next event."""
-        a, q, n = self.a, self.q, self.n
-        times, events = [], []
-        self.speeds = speeds = []
-        ahead = n  # sign index of the car ahead
-        for k, x in enumerate(self.pos):
-            v = q[ahead]
-            speeds.append(v)
-            s = bisect_right(a, x)
-            if s < n and v > 0:
-                times.append((a[s] - x) / v)
-                events.append((k, s + 1))
-            ahead = s
-        return times, events
-
-    def _move(self, dt: Number) -> None:
-        self.pos = [x + v * dt for x, v in zip(self.pos, self.speeds)]
-        self._respawn_zero()
-
-    def _apply(self, batch: list[tuple[int, int]]) -> None:
-        pos, a = self.pos, self.a
-        for (k, sign) in sorted(batch, key=_SIGN) if len(batch) > 1 else batch:
-            pos[k] = a[sign - 1]  # snap: exact in rational mode, drift-free in float
-            self.crossings.append((self.t, sign, self.ids[k]))
-        if pos[0] >= a[-1]:  # cars that crossed a_N leave, a prefix of pos
-            gone = 1
-            while gone < len(pos) and pos[gone] >= a[-1]:
-                gone += 1
-            del pos[:gone], self.ids[:gone]
-
-    def _respawn_zero(self) -> None:
-        # the queue at 0 releases its next car once its head has left
         if not self.pos or self.pos[-1] > 0:
-            self.pos.append(0 * self.a[0])
+            self.pos.append(0 * params.a[0])
             self.ids.append(self._next_id)
             self._next_id += 1
+        self.crossings: list[tuple[Number, int, int]] = []  # (time, sign, car id)
+
+    def run(self, duration: Number, one_batch: bool = False) -> None:
+        """Advance by duration, applying each batch of tied crossings at
+        its instant; crossings landing exactly at the final instant are
+        applied.  With one_batch the run stops after its first batch.
+
+        Each step is one pass over the cars: a car's speed is q at the
+        sign index of the car ahead (q_N for the first), and a car below
+        a_N with a positive speed is heading to its next sign.  Cars move
+        by the earliest time, the queue at 0 releases its next car once
+        its head has left, crossing cars are snapped to their signs in
+        sign order, and cars past a_N (a prefix) leave."""
+        a, q, n, exact = self.a, self.q, self.n, self.exact
+        a_n, zero = a[-1], 0 * a[0]
+        pos, ids, t, next_id = self.pos, self.ids, self.t, self._next_id
+        record = self.crossings.append
+        remaining = duration
+        while remaining > 0:
+            speeds, times, events = [], [], []
+            ahead = n  # sign index of the car ahead
+            for k, x in enumerate(pos):
+                v = q[ahead]
+                speeds.append(v)
+                ahead = bisect_right(a, x)
+                if ahead < n and v > 0:
+                    times.append((a[ahead] - x) / v)
+                    events.append((k, ahead + 1))
+            # the first car, below a_N at speed q_N, is always heading to a sign
+            dt = min(times)
+            last = dt > remaining
+            if last:
+                dt = remaining
+            pos = [x + v * dt for x, v in zip(pos, speeds)]
+            if pos[-1] > 0:
+                pos.append(zero)
+                ids.append(next_id)
+                next_id += 1
+            t = t + dt
+            if last:
+                break
+            remaining = remaining - dt
+            batch = list(compress(events, map(le, times, repeat(dt if exact else dt * _TIE))))
+            if len(batch) > 1:
+                batch.sort(key=_SIGN)
+            for (k, sign) in batch:
+                pos[k] = a[sign - 1]  # snap: exact in rational mode, drift-free in float
+                record((t, sign, ids[k]))
+            if pos[0] >= a_n:
+                gone = 1
+                while gone < len(pos) and pos[gone] >= a_n:
+                    gone += 1
+                del pos[:gone], ids[:gone]
+            if one_batch:
+                break
+        self.pos, self.t, self._next_id = pos, t, next_id
 
     def to_config(self) -> CarConfig:
         return CarConfig(tuple(x for x in self.pos if x > 0))
@@ -264,78 +261,117 @@ def next_event_time(y: CarConfig, params: Params):
     """First time a car reaches a sign, with the arg-min set of
     (car slot, sign index) pairs; slot len(positions) is the car at 0."""
     sim = _CarSim(y, params)
-    nxt = sim.next_event()
-    if nxt is None:
+    sim.run(math.inf, one_batch=True)
+    if not sim.crossings:
         raise ValueError("no pending sign crossing (empty system)")
-    return nxt[0], frozenset(nxt[1])
+    # no car has left or joined ahead of a crossing car yet: ids are slots
+    return sim.t, frozenset((car, sign) for (_, sign, car) in sim.crossings)
 
 
 def step_cars(y: CarConfig, params: Params, t: Number) -> tuple[CarConfig, EventLog]:
     """Advance the car model by duration t, processing sign crossings in
     order; crossings landing exactly at the final instant are included."""
-    if t < 0:
-        raise ValueError("duration must be nonnegative")
+    _check_duration(t)
     sim = _CarSim(y, params)
     sim.run(t)
     return sim.to_config(), sim.event_log()
 
 
-class _BinSim(_EventSim):
+class _BinSim:
     """Mutable bin-model state with explicit cursor bookkeeping.  Only the
     bins from cursor N to the front are kept, in a list from cursor N
     rightward: the tails the dynamics reads start right of a cursor, and
-    cursors never move left.  The rates depend only on the cursors, so
-    they are recomputed only after cursors jump."""
+    cursors never move left.  run is the compiled loop of its N."""
 
     def __init__(self, x: BinConfig, params: Params):
-        super().__init__(params, x.volumes)
-        self.p = params.p
+        self.a, self.p, self.q, self.n = params.a, params.p, params.q, params.n
+        self.exact = _exact_mode(params, x.volumes)
+        self.t: Number = 0 * params.a[0]
         self.front = x.front
         self.c: list[int] = list(cursors(x, params))
         # vol[k] is bin c_N + k, up to the front
         self.vol: list[Number] = list(reversed(x.volumes[: x.front - self.c[-1] + 1]))
-        self.jumps: list[tuple[Number, int, int]] = []  # (time, cursor, new bin)
-        self._set_rates()
+        self.log: list[Event] = []
 
-    def _set_rates(self) -> None:
-        # cursors are nonincreasing, so the streams j <= m_i with
-        # c_j >= c_i, which pour at or right of bin c_i + 1, end with the
-        # tie block of cursor i: its rate is q at the end of that block
-        c, q, n = self.c, self.q, self.n
-        self.rates = rates = [q[n]] * n
-        for i in range(n - 2, -1, -1):
-            rates[i] = q[i + 1] if c[i] > c[i + 1] else rates[i + 1]
-
-    def _pending(self) -> tuple[list[Number], range]:
-        # one top-down sweep: tails[j] is the liquid in the top j bins, so
-        # the tail right of cursor i is tails[front - c_i]
-        tails = [0]
-        tails += accumulate(self.vol[:0:-1])
-        front = self.front
-        times = [(ai - tails[front - ci]) / r for ai, ci, r in zip(self.a, self.c, self.rates)]
-        return times, range(self.n)
-
-    def _move(self, dt: Number) -> None:
-        vol, base = self.vol, self.c[-1]
-        if self.c[0] >= self.front:  # stream 1 starts a new front bin
-            vol.append(0 * dt)
-            self.front = self.c[0] + 1
-        for ci, pj in zip(self.c, self.p):
-            vol[ci + 1 - base] += pj * dt
-
-    def _apply(self, batch: list[int]) -> None:
-        for i in batch:
-            self.c[i] += 1
-            self.jumps.append((self.t, i + 1, self.c[i]))
-        if self.n - 1 in batch:
-            del self.vol[0]
-        self._set_rates()
+    def run(self, duration: Number) -> None:
+        """Advance by duration; events landing exactly at the final
+        instant are applied."""
+        _bin_loop(self.n)(self, duration)
 
     def to_config(self) -> BinConfig:
         return BinConfig(self.front, tuple(v for v in reversed(self.vol) if v > 0))
 
     def event_log(self) -> EventLog:
-        return tuple(Event(t, CURSOR_JUMP, i, b) for (t, i, b) in self.jumps)
+        return tuple(self.log)
+
+
+def _bin_loop_source(n: int) -> str:
+    """Python source of run(sim, duration), the bin event loop at N = n,
+    with cursor i, its rate and its pending time in the locals c{i},
+    r{i} and t{i} (0-based).  Each step:
+
+    - pending times (a_i - tail right of c_i) / r_i, every tail read off
+      one top-down sweep of the bins (tails[j] holds the top j);
+    - the earliest time dt, or the rest of the duration if that is
+      sooner (then the step only moves, and the run ends);
+    - the move: stream 1 opens a new front bin when its cursor is at the
+      front, and stream i pours p_i * dt into bin c_i + 1;
+    - the batch: every cursor whose time ties with dt (_exact_mode) jumps
+      one bin, in index order, and a jump of cursor N drops its old bin;
+    - the rates: cursors are nonincreasing, so the streams j <= m_i with
+      c_j >= c_i, which pour at or right of bin c_i + 1, end with the tie
+      block of cursor i, and r_i is q at the end of that block.
+
+    These are the operations of the generic loop this replaced, in its
+    order, so every float and Fraction result has the same bits."""
+    def seq(prefix: str, stop: int = n) -> str:
+        return ", ".join(f"{prefix}{i}" for i in range(stop))
+
+    rates = [f"r{i} = q{i + 1} if c{i} > c{i + 1} else r{i + 1}" for i in range(n - 2, -1, -1)]
+    lines = ["def run(sim, duration):",
+             f"    {seq('a')}, = sim.a",
+             f"    {seq('p')}, = sim.p",
+             f"    {seq('q', n + 1)}, = sim.q",
+             f"    {seq('c')}, = sim.c",
+             "    vol, front, t, exact, record = sim.vol, sim.front, sim.t, sim.exact, sim.log.append",
+             f"    r{n - 1} = q{n}",
+             *(f"    {line}" for line in rates),
+             "    remaining = duration",
+             "    while remaining > 0:",
+             "        tails = [0]",
+             "        tails += accumulate(vol[:0:-1])",
+             *(f"        t{i} = (a{i} - tails[front - c{i}]) / r{i}" for i in range(n)),
+             f"        dt = min({seq('t')})" if n > 1 else "        dt = t0",
+             "        last = dt > remaining",
+             "        if last:",
+             "            dt = remaining",
+             "        if c0 >= front:",
+             "            vol.append(0 * dt)",
+             "            front = c0 + 1",
+             *(f"        vol[c{i} + 1 - c{n - 1}] += p{i} * dt" for i in range(n - 1)),
+             f"        vol[1] += p{n - 1} * dt",  # bin c_N + 1
+             "        t = t + dt",
+             "        if last:",
+             "            break",
+             "        remaining = remaining - dt",
+             "        cutoff = dt if exact else dt * TIE"]
+    for i in range(n):
+        lines += [f"        if t{i} <= cutoff:",
+                  f"            c{i} += 1",
+                  f"            record(Event(t, CURSOR_JUMP, {i + 1}, c{i}))"]
+    lines += ["            del vol[0]",  # the old bin of cursor N
+              *(f"        {line}" for line in rates),
+              f"    sim.c[:] = {seq('c')},",
+              "    sim.front, sim.t = front, t"]
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=64)
+def _bin_loop(n: int) -> Callable:
+    """The bin event loop at N = n: _bin_loop_source compiled once."""
+    namespace = {"accumulate": accumulate, "Event": Event, "CURSOR_JUMP": CURSOR_JUMP, "TIE": _TIE}
+    exec(compile(_bin_loop_source(n), f"<bin event loop, N = {n}>", "exec"), namespace)
+    return namespace.pop("run")
 
 
 def evolve_bins(x: BinConfig, params: Params, t: Number) -> tuple[BinConfig, EventLog]:
@@ -344,8 +380,7 @@ def evolve_bins(x: BinConfig, params: Params, t: Number) -> tuple[BinConfig, Eve
     Coupled to step_cars through sigma: the right tail sums of the result
     equal the stepped car positions, exactly so in rational mode.
     """
-    if t < 0:
-        raise ValueError("duration must be nonnegative")
+    _check_duration(t)
     sim = _BinSim(x, params)
     sim.run(t)
     return sim.to_config(), sim.event_log()

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -19,8 +21,16 @@ from liquidbin.cyclic import (
     jump_order,
     sample_params,
 )
-from liquidbin.dynamics import BinConfig, _CarSim
-from liquidbin.params import Params
+from liquidbin.dynamics import (
+    CURSOR_JUMP,
+    SIGN_CROSSING,
+    BinConfig,
+    CarConfig,
+    Event,
+    _CarSim,
+    cursors,
+)
+from liquidbin.params import Params, is_exact_scalar
 from liquidbin.stationary import StationaryProfile, canonical_configuration
 
 
@@ -105,6 +115,168 @@ def reference_conjecture_probe(
         skipped=skipped,
         seed=seed,
     )
+
+
+class _ReferenceEventSim:
+    """The generic event loop the compiled bin loop and the fused car loop
+    replaced: list the pending events, advance to the earliest, apply it
+    with every event tied with it, and repeat until the duration runs
+    out.  The oracle for dynamics._BinSim and dynamics._CarSim, which must
+    give the same bits."""
+
+    def __init__(self, params: Params, values):
+        self.a = params.a
+        self.q = params.q
+        self.n = params.n
+        self.exact = params.is_exact and all(is_exact_scalar(v) for v in values)
+        self.t = 0 * params.a[0]
+
+    def next_event(self):
+        """Time to the earliest pending event and the batch of events tied
+        with it: equal in exact mode, within a relative 1e-12 in float."""
+        times, events = self._pending()
+        if not times:
+            return None
+        dt = min(times)
+        cutoff = dt if self.exact else dt * (1 + 1e-12)
+        return dt, [e for d, e in zip(times, events) if d <= cutoff]
+
+    def run(self, duration) -> None:
+        """Advance by duration; events landing exactly at the final
+        instant are applied."""
+        remaining = duration
+        while remaining > 0:
+            nxt = self.next_event()
+            if nxt is None or nxt[0] > remaining:
+                self._move(remaining)
+                self.t = self.t + remaining
+                return
+            dt, batch = nxt
+            self._move(dt)
+            self.t = self.t + dt
+            remaining = remaining - dt
+            self._apply(batch)
+
+
+class ReferenceCarSim(_ReferenceEventSim):
+    """Car model: positions descending, the trailing entry the head of the
+    queue at 0; _pending keeps each car's speed in speeds for _move."""
+
+    def __init__(self, y: CarConfig, params: Params):
+        super().__init__(params, y.positions)
+        if y.positions and not y.positions[0] < params.a[-1]:
+            raise ValueError("stored car positions must lie below a_N")
+        self.pos = list(y.positions)
+        self.ids = list(range(len(self.pos)))
+        self._next_id = len(self.pos)
+        self._respawn_zero()
+        self.crossings = []  # (time, sign, car id)
+        self.speeds = []
+
+    def _pending(self):
+        a, q, n = self.a, self.q, self.n
+        times, events = [], []
+        self.speeds = speeds = []
+        ahead = n  # sign index of the car ahead
+        for k, x in enumerate(self.pos):
+            v = q[ahead]
+            speeds.append(v)
+            s = bisect_right(a, x)
+            if s < n and v > 0:
+                times.append((a[s] - x) / v)
+                events.append((k, s + 1))
+            ahead = s
+        return times, events
+
+    def _move(self, dt) -> None:
+        self.pos = [x + v * dt for x, v in zip(self.pos, self.speeds)]
+        self._respawn_zero()
+
+    def _apply(self, batch) -> None:
+        pos, a = self.pos, self.a
+        for (k, sign) in sorted(batch, key=lambda e: e[1]):
+            pos[k] = a[sign - 1]
+            self.crossings.append((self.t, sign, self.ids[k]))
+        if pos[0] >= a[-1]:  # cars that crossed a_N leave, a prefix of pos
+            gone = 1
+            while gone < len(pos) and pos[gone] >= a[-1]:
+                gone += 1
+            del pos[:gone], self.ids[:gone]
+
+    def _respawn_zero(self) -> None:
+        if not self.pos or self.pos[-1] > 0:
+            self.pos.append(0 * self.a[0])
+            self.ids.append(self._next_id)
+            self._next_id += 1
+
+    def to_config(self) -> CarConfig:
+        return CarConfig(tuple(x for x in self.pos if x > 0))
+
+    def event_log(self) -> tuple[Event, ...]:
+        return tuple(Event(t, SIGN_CROSSING, sign, self.a[sign - 1]) for (t, sign, _) in self.crossings)
+
+
+class ReferenceBinSim(_ReferenceEventSim):
+    """Bin model: vol[k] is bin c_N + k up to the front; rates are q at
+    the end of each cursor's tie block, reset after every batch."""
+
+    def __init__(self, x: BinConfig, params: Params):
+        super().__init__(params, x.volumes)
+        self.p = params.p
+        self.front = x.front
+        self.c = list(cursors(x, params))
+        self.vol = list(reversed(x.volumes[: x.front - self.c[-1] + 1]))
+        self.jumps = []  # (time, cursor, new bin)
+        self._set_rates()
+
+    def _set_rates(self) -> None:
+        c, q, n = self.c, self.q, self.n
+        self.rates = rates = [q[n]] * n
+        for i in range(n - 2, -1, -1):
+            rates[i] = q[i + 1] if c[i] > c[i + 1] else rates[i + 1]
+
+    def _pending(self):
+        tails = [0]
+        tails += accumulate(self.vol[:0:-1])
+        front = self.front
+        times = [(ai - tails[front - ci]) / r for ai, ci, r in zip(self.a, self.c, self.rates)]
+        return times, range(self.n)
+
+    def _move(self, dt) -> None:
+        vol, base = self.vol, self.c[-1]
+        if self.c[0] >= self.front:  # stream 1 starts a new front bin
+            vol.append(0 * dt)
+            self.front = self.c[0] + 1
+        for ci, pj in zip(self.c, self.p):
+            vol[ci + 1 - base] += pj * dt
+
+    def _apply(self, batch) -> None:
+        for i in batch:
+            self.c[i] += 1
+            self.jumps.append((self.t, i + 1, self.c[i]))
+        if self.n - 1 in batch:
+            del self.vol[0]
+        self._set_rates()
+
+    def to_config(self) -> BinConfig:
+        return BinConfig(self.front, tuple(v for v in reversed(self.vol) if v > 0))
+
+    def event_log(self) -> tuple[Event, ...]:
+        return tuple(Event(t, CURSOR_JUMP, i, b) for (t, i, b) in self.jumps)
+
+
+def reference_evolve_bins(x: BinConfig, params: Params, t):
+    """dynamics.evolve_bins on the generic loop: its oracle."""
+    sim = ReferenceBinSim(x, params)
+    sim.run(t)
+    return sim.to_config(), sim.event_log()
+
+
+def reference_step_cars(y: CarConfig, params: Params, t):
+    """dynamics.step_cars on the generic loop: its oracle."""
+    sim = ReferenceCarSim(y, params)
+    sim.run(t)
+    return sim.to_config(), sim.event_log()
 
 
 def reference_b(g: combinatorics.DCGraph) -> tuple[int, ...]:

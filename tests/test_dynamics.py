@@ -1,11 +1,28 @@
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_bin_config, random_duration, random_rational_params
+import liquidbin
+from conftest import (
+    ReferenceBinSim,
+    ReferenceCarSim,
+    random_bin_config,
+    random_duration,
+    random_rational_params,
+    reference_evolve_bins,
+    reference_step_cars,
+    tied_phase_thresholds,
+)
 from liquidbin.dynamics import (
     BinConfig,
     CarConfig,
@@ -224,22 +241,29 @@ def test_evolve_bins_semigroup():
 
 def test_bin_pending_times_match_definitions():
     # cached rates and one-sweep tails against their definitions, exactly:
-    # rate q_{m+1} with m the last stream whose cursor is at or right of c_i
+    # rate q_{m+1} with m the last stream whose cursor is at or right of c_i.
+    # The generic loop lists the pending times; the compiled loop, run
+    # for the same steps, must hold the same state after each
     from liquidbin.dynamics import _BinSim
 
     rng = random.Random(47)
     for _ in range(20):
         n = rng.randint(1, 5)
         params = random_rational_params(rng, n)
-        sim = _BinSim(random_bin_config(rng, params), params)
+        x0 = random_bin_config(rng, params)
+        sim, ref = _BinSim(x0, params), ReferenceBinSim(x0, params)
         for _ in range(30):
-            x, c = sim.to_config(), sim.c
+            x, c = ref.to_config(), ref.c
             assert cursors(x, params) == tuple(c)
             rates = [params.q[max(j for j in range(n) if c[j] >= c[i]) + 1] for i in range(n)]
             tails = [sum(x.volume_at(k) for k in range(c[i] + 1, x.front + 1)) for i in range(n)]
-            times, _ = sim._pending()
+            times, _ = ref._pending()
             assert times == [(params.a[i] - tails[i]) / rates[i] for i in range(n)]
-            sim.run(sim.next_event()[0])
+            dt = ref.next_event()[0]
+            ref.run(dt)
+            sim.run(dt)
+            assert (sim.front, sim.c, sim.vol, sim.t) == (ref.front, ref.c, ref.vol, ref.t)
+        assert sim.event_log() == ref.event_log()
 
 
 def test_cursor_one_jump_gaps_bounded():
@@ -313,30 +337,35 @@ def test_fronts_and_positions_monotone():
 
 
 def test_car_speeds_never_decrease():
-    # the sign index seen by a fixed car is nondecreasing along the run
+    # the sign index seen by a fixed car is nondecreasing along the run;
+    # the generic loop exposes the speeds, and the fused loop, run for the
+    # same steps, must hold the same cars after each
     rng = random.Random(43)
     from liquidbin.dynamics import _CarSim
 
     for _ in range(10):
         params = random_rational_params(rng, 3)
         y = sigma(random_bin_config(rng, params), params)
-        sim = _CarSim(y, params)
+        sim, ref = _CarSim(y, params), ReferenceCarSim(y, params)
         horizon = 6 * params.a[0] / params.q[1]
         seen: dict[int, int] = {}
         remaining = horizon
         while remaining > 0:
-            nxt = sim.next_event()
+            nxt = ref.next_event()
             if nxt is None or nxt[0] > remaining:
                 break
             # next_event caches the speeds of the current positions
-            speeds = sim.speeds
-            assert len(speeds) == len(sim.ids)
-            for cid, v in zip(sim.ids, speeds):
+            speeds = ref.speeds
+            assert len(speeds) == len(ref.ids)
+            for cid, v in zip(ref.ids, speeds):
                 rank = list(params.q).index(v)
                 assert seen.get(cid, 0) <= rank
                 seen[cid] = max(seen.get(cid, 0), rank)
+            ref.run(nxt[0])
             sim.run(nxt[0])
+            assert (sim.pos, sim.ids, sim.t) == (ref.pos, ref.ids, ref.t)
             remaining -= nxt[0]
+        assert sim.crossings == ref.crossings
 
 
 def test_bin_state_starts_at_cursor_n():
@@ -353,7 +382,7 @@ def test_bin_state_starts_at_cursor_n():
 
     assert holds_cursor_n_to_front() and len(sim.vol) == 7
     sim.run(400.0)
-    assert sum(1 for _, i, _ in sim.jumps if i == params.n) > 100
+    assert sum(1 for ev in sim.event_log() if ev.index == params.n) > 100
     assert holds_cursor_n_to_front()
 
 
@@ -362,3 +391,117 @@ def test_negative_duration_rejected():
         evolve_bins(FIG1_BINS, FIG1, -1)
     with pytest.raises(ValueError):
         step_cars(CarConfig(()), FIG1, F(-1))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_duration_rejected(t):
+    # unchecked, nan would run no event and inf would never end
+    float_params = Params((1.5, 2.5), (0.5, 1.5))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        evolve_bins(BinConfig(front=2, volumes=(1.0, 1.5, 1.5)), float_params, t)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        step_cars(CarConfig((1.0,)), float_params, t)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        step_cars(sigma(FIG1_BINS, FIG1), FIG1, t)
+
+
+def _floats(params: Params, x: BinConfig) -> tuple[Params, BinConfig]:
+    return (Params(tuple(map(float, params.a)), tuple(map(float, params.p))),
+            BinConfig(x.front, tuple(map(float, x.volumes))))
+
+
+def _assert_matches_reference(x: BinConfig, params: Params, t) -> None:
+    """Both simulators against the generic loop, by repr of the result
+    configuration and of every event, and next_event_time against the
+    generic loop's first batch."""
+    assert repr(evolve_bins(x, params, t)) == repr(reference_evolve_bins(x, params, t))
+    y = sigma(x, params)
+    assert repr(step_cars(y, params, t)) == repr(reference_step_cars(y, params, t))
+    dt, batch = ReferenceCarSim(y, params).next_event()
+    assert repr(next_event_time(y, params)) == repr((dt, frozenset(batch)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_loops_match_reference_seeded(n):
+    rng = random.Random(500 + n)
+    for k in range(12):
+        params = random_rational_params(rng, n)
+        x = random_bin_config(rng, params)
+        t = random_duration(rng, 30)
+        if k % 2:
+            params, x = _floats(params, x)
+            t = 3 * float(t)
+            if not x.total >= params.a[-1]:  # rounding may drop the window below a_N
+                continue
+        _assert_matches_reference(x, params, t)
+
+
+def test_loops_match_reference_on_tied_thresholds():
+    # unit rates and integer thresholds and volumes: many events tie, in
+    # exact mode exactly and in float mode within the relative 1e-12
+    rng = random.Random(61)
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        params = Params(tuple(map(F, tied_phase_thresholds(rng, n))), (F(1),) * n)
+        volumes = [F(rng.randint(1, 3)) for _ in range(int(params.a[-1]))]
+        x = BinConfig(front=rng.randint(-3, 5), volumes=tuple(volumes))
+        t = F(rng.randint(1, 12 * n))
+        _assert_matches_reference(x, params, t)
+        params, x = _floats(params, x)
+        _assert_matches_reference(x, params, float(t))
+
+
+def test_loops_match_reference_at_event_times_and_zero():
+    # durations that end exactly on an event apply it; zero moves nothing
+    rng = random.Random(67)
+    for k in range(40):
+        params = random_rational_params(rng, rng.randint(1, 6))
+        x = random_bin_config(rng, params)
+        if k % 2:
+            params, x = _floats(params, x)
+            if not x.total >= params.a[-1]:
+                continue
+        _assert_matches_reference(x, params, 0 * params.a[0])
+        _, log = reference_evolve_bins(x, params, 3 * params.a[0] / params.q[1])
+        for ev in log[:: max(1, len(log) // 5)]:
+            _assert_matches_reference(x, params, ev.time)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 9), min_size=n, max_size=n),
+    st.lists(st.integers(1, 9), min_size=n, max_size=n),
+    st.lists(st.integers(1, 9), min_size=1, max_size=3 * n),
+    st.integers(-3, 5),
+    st.integers(0, 60),
+    st.booleans())))
+def test_loops_match_reference_hypothesis(case):
+    gaps, rates, volumes, front, t, exact = case
+    params = Params(tuple(F(sum(gaps[: i + 1]), 2) for i in range(len(gaps))), tuple(map(F, rates)))
+    volumes = [F(v, 3) for v in volumes]
+    while sum(volumes) < params.a[-1]:
+        volumes.append(F(1))
+    x = BinConfig(front, tuple(volumes))
+    if exact:
+        _assert_matches_reference(x, params, F(t, 4))
+    else:
+        params, x = _floats(params, x)
+        if x.total >= params.a[-1]:
+            _assert_matches_reference(x, params, t / 4)
+
+
+def test_simulate_non_finite_duration_exits_2(tmp_path):
+    # in a subprocess under a timeout, since an unchecked infinite duration hangs
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"a": [1.5, 2.5], "p": [0.5, 1.5],
+                                  "bins": {"front": 2, "volumes": [1, 1.5, 1.5]}}))
+    src = str(Path(liquidbin.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for t in ("nan", "inf", "1e400", "-inf"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "liquidbin.cli", "simulate", "--params", str(params), f"--t={t}"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2, (t, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr == "error: duration must be finite and nonnegative\n"
