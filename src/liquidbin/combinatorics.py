@@ -6,25 +6,23 @@ graph is downward closed (DC) when its edge set is closed under taking
 nested pairs.  DC graphs on n vertices are counted by the Catalan number
 C_n and biject with Dyck words of length 2n.
 
-This module owns the three representations of a DC graph and the only
+This module owns the two representations of a DC graph and the only
 conversions between them:
 
 - the edge set ``DCGraph.edges``, the value: equality, hashing, repr
   and JSON are those of the edge set alone;
-- the edge bitmask ``DCGraph.bits``: bit k is the pair ``all_pairs(n)[k]``;
 - the b map ``DCGraph.b``: b(i) is the farthest neighbour j > i of i, else
   i itself, with b(0) = 1.  It is nondecreasing and fixes the graph;
   ``b_to_dc`` gives the graph back.  Everything else is read from it: the
   walls ``DCGraph.walls``, the Dyck word (b(i) - b(i-1) up-steps, then a
   down-step, for each i), the enumeration order (decreasing b maps, one
-  graph at a time in ``dc_graphs``), and the plans and jump orders of the
-  other modules.
+  graph at a time in ``dc_graphs``), region adjacency, and the plans and
+  jump orders of the other modules.
 
-``bits``, ``b`` and ``walls`` are computed on first use and cached on the
-instance, outside the dataclass fields.  ``regions_adjacent`` tests the
-antichain condition on the XOR of two masks against per-n tables of
-strict containers; ``is_antichain`` is the plain reference on arbitrary
-edge sets and ``adjacency_mm_condition`` an independent second
+``b`` and ``walls`` are computed on first use and cached on the instance,
+outside the dataclass fields.  ``regions_adjacent`` compares two b maps
+row by row; ``is_antichain`` is the plain reference on arbitrary edge
+sets and ``adjacency_mm_condition`` an independent second
 characterization.
 """
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 Edge = tuple[int, int]
 
@@ -72,12 +70,6 @@ class DCGraph:
                         raise ValueError(
                             f"edge set not downward closed: {(i, j)} present, {child} missing"
                         )
-
-    @cached_property
-    def bits(self) -> int:
-        """Edge bitmask: bit k is set iff all_pairs(n)[k] is an edge."""
-        bit = _layout(self.n).bit
-        return sum(1 << bit[e] for e in self.edges)
 
     @cached_property
     def b(self) -> tuple[int, ...]:
@@ -344,50 +336,47 @@ class Adjacency:
 _NOT_ADJACENT = Adjacency(False, None)
 
 
-class _Layout(NamedTuple):
-    bit: dict[Edge, int]         # pair -> its bit, bit k is all_pairs(n)[k]
-    containers: tuple[int, ...]  # bit k -> mask of the pairs strictly containing pair k
-    adjacent: tuple[Adjacency, ...]  # codim -> the shared Adjacency(True, codim)
-
-
-@lru_cache(maxsize=32)
-def _layout(n: int) -> _Layout:
-    pairs = all_pairs(n)
-    bit = {e: k for k, e in enumerate(pairs)}
-    containers = tuple(
-        sum(1 << bit[(i2, j2)] for i2 in range(1, i + 1) for j2 in range(j, n + 1)) & ~(1 << bit[(i, j)])
-        for (i, j) in pairs
-    )
-    return _Layout(bit, containers, tuple(Adjacency(True, c) for c in range(len(pairs) + 1)))
+@lru_cache(maxsize=None)
+def _adjacent(codim: int) -> Adjacency:
+    return Adjacency(True, codim)
 
 
 def regions_adjacent(g1: DCGraph, g2: DCGraph) -> Adjacency:
     """Whether the parameter regions of g1 and g2 share boundary points.
 
-    Criterion: the symmetric difference of the edge sets is an antichain;
-    the shared boundary then has codimension equal to its size.
+    Criterion: the symmetric difference Δ of the edge sets is an
+    antichain; the shared boundary then has codimension |Δ|.
 
-    Δ is ``g1.bits ^ g2.bits`` (bit k is ``all_pairs(n)[k]``).  Δ is an
-    antichain iff no member's mask of strict containers meets Δ, so the
-    test walks the set bits of Δ and stops at the first one that does:
-    O(|Δ|) integer operations, no set built per pair.  The results are
-    shared frozen instances, one "not adjacent" and one per codimension.
-    ``is_antichain(g1.edges ^ g2.edges)`` is the reference it must match.
+    Read off the two b maps in one O(N) pass.  Row i of Δ is the pairs
+    (i, j) with min(b1(i), b2(i)) < j <= max(b1(i), b2(i)), and two pairs
+    of one row are nested, so every differing row must differ by exactly
+    1 and then adds the one pair (i, m_i), m_i = max(b1(i), b2(i)).  Pairs
+    of rows i' < i are nested iff m_i <= m_i'.  So the regions are
+    adjacent iff m strictly increases over the differing rows, and the
+    codimension is their number.  The pass stops at the first row that
+    breaks the rule.  The results are shared frozen instances, one "not
+    adjacent" and one per codimension.  ``is_antichain(g1.edges ^
+    g2.edges)`` is the reference it must match.
     """
     if g1.n != g2.n:
         raise ValueError("graphs must share the vertex count")
-    delta = g1.bits ^ g2.bits
-    if not delta:
+    codim = last = 0  # last: m of the previous differing row
+    for x, y in zip(g1.b, g2.b):
+        if x == y:
+            continue
+        if x == y + 1:
+            m = x
+        elif y == x + 1:
+            m = y
+        else:
+            return _NOT_ADJACENT  # the row holds two nested pairs
+        if m <= last:
+            return _NOT_ADJACENT  # (i, m) is nested in the previous row's pair
+        codim += 1
+        last = m
+    if not codim:
         raise ValueError("adjacency is defined for distinct graphs")
-    layout = _layout(g1.n)
-    containers = layout.containers
-    rest = delta
-    while rest:
-        low = rest & -rest
-        if containers[low.bit_length() - 1] & delta:
-            return _NOT_ADJACENT
-        rest ^= low
-    return layout.adjacent[delta.bit_count()]
+    return _adjacent(codim)
 
 
 def adjacency_mm_condition(g1: DCGraph, g2: DCGraph) -> bool:

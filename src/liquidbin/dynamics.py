@@ -264,8 +264,10 @@ def next_event_time(y: CarConfig, params: Params):
     sim.run(math.inf, one_batch=True)
     if not sim.crossings:
         raise ValueError("no pending sign crossing (empty system)")
-    # no car has left or joined ahead of a crossing car yet: ids are slots
-    return sim.t, frozenset((car, sign) for (_, sign, car) in sim.crossings)
+    # no car has left or joined ahead of a crossing car yet: ids are slots.
+    # The batch is applied in sign order but frozen in slot order, the
+    # order of the scan, so the set iterates the same whatever the signs.
+    return sim.t, frozenset(sorted((car, sign) for (_, sign, car) in sim.crossings))
 
 
 def step_cars(y: CarConfig, params: Params, t: Number) -> tuple[CarConfig, EventLog]:

@@ -28,7 +28,6 @@ from .combinatorics import (
     DyckPath,
     Edge,
     _cached_graph_of_b,
-    all_pairs,
     dc_to_dyck,
     enumerate_dc,
     graph_index,
@@ -334,8 +333,9 @@ class RegionReport:
 
     @property
     def finite_time_absorption(self) -> bool:
-        """Complete stationary graph: the regime is reached in finite time."""
-        return len(self.graph.edges) == len(all_pairs(self.graph.n))
+        """Complete stationary graph: the regime is reached in finite time.
+        A DC graph is complete iff it holds (1, N), that is b(1) = N."""
+        return self.graph.b[1] == self.graph.n
 
 
 def _report(params: Params, g: DCGraph, z: tuple, ok: bool, flags: frozenset[Edge]) -> RegionReport:

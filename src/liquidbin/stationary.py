@@ -1,14 +1,17 @@
 """Stationary regime of the car model: the closed-form profile, with the
-certified contraction iteration kept as an independent cross-check.
+breakpoint iteration kept as an independent cross-check.
 
 A car trajectory is encoded by its breakpoint times s = (t(a_1), ...,
 t(a_N)): the follower of a car with breakpoints s drives the piecewise
-linear path y(t) = sum_j p_j (t - s_j + s_1)_+, and the map sending s to
-the follower's breakpoint times contracts the sup norm by a factor of at
-most lambda = 1 - q_1/q_N.  Its unique fixed point is the traveling-wave
+linear path y(t) = sum_j p_j (t - s_j + s_1)_+.  The fixed point of the
+map sending s to the follower's breakpoint times is the traveling-wave
 profile; the first breakpoint is the period, its inverse the front speed.
-The profile is also the closed form of the region holding the parameters
-(regions.classify), which stationary_profile serves to every caller here.
+The profile is the closed form of the region holding the parameters
+(regions.classify), which stationary_profile serves, with a certified
+bound, to every caller here.  fixed_point_solve iterates the map as a
+cross-check.  The map need not contract the sup norm by
+lambda = 1 - q_1/q_N, so the error estimate it reports from lambda is not
+a bound.
 """
 from __future__ import annotations
 

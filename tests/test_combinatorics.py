@@ -331,7 +331,7 @@ def test_adjacency_examples():
 
 
 def assert_adjacency_matches_references(g1, g2):
-    """The bitmask kernel, both ways round, against the antichain scan on
+    """The b-map row rule, both ways round, against the antichain scan on
     the edge-set symmetric difference and against the m/M condition."""
     delta = g1.edges ^ g2.edges
     expected = is_antichain(delta)
@@ -389,38 +389,17 @@ def test_adjacency_errors_unchanged():
         regions_adjacent(K4, DCGraph(4, frozenset(all_pairs(4))))
 
 
-def test_edge_bits_follow_the_pair_layout_whatever_the_construction():
-    """bit k is all_pairs(n)[k]; graphs with equal edges have equal bits
-    whether enumerated, toggled, or read back from JSON."""
-    for n in range(1, 6):
-        pairs = all_pairs(n)
-        bits = {g.edges: g.bits for g in enumerate_dc(n)}
-        for edges, mask in bits.items():
-            assert mask == sum(1 << k for k, e in enumerate(pairs) if e in edges)
-        for g in enumerate_dc(n):
-            for e in maximal_edges(g):
-                h = g.without_edge(e)
-                assert h.bits == bits[h.edges]
-            for e in addable_edges(g):
-                h = g.with_edge(e)
-                assert h.bits == bits[h.edges]
-            assert DCGraph.from_json_dict(json.loads(json.dumps(g.to_json_dict()))).bits == g.bits
-            assert DCGraph(n, reversed(sorted(g.edges))).bits == g.bits
-
-
-def test_edge_bits_stay_out_of_equality_and_survive_pickling():
-    # the b map, cached the same way, is held to the same rules
+def test_b_map_stays_out_of_equality_and_survives_pickling():
     graphs = list(enumerate_dc(5))
-    fresh = [DCGraph(5, g.edges) for g in graphs]  # no mask or b map computed yet
+    fresh = [DCGraph(5, g.edges) for g in graphs]  # no b map computed yet
     for g, f in zip(graphs, fresh):
         g.b
-        assert "bits" not in vars(f) and "b" not in vars(f)
+        assert "b" not in vars(f)
         assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
         assert f.to_json_dict() == g.to_json_dict()
-    graphs[3].bits
     restored = [pickle.loads(pickle.dumps(g)) for g in graphs + fresh]
     for g, r in zip(graphs + fresh, restored):
-        assert r == g and hash(r) == hash(g) and r.bits == g.bits and r.b == g.b
+        assert r == g and hash(r) == hash(g) and r.b == g.b
     for g1, r1 in zip(graphs, restored):
         for g2, r2 in zip(graphs, restored[len(graphs):]):
             if g1 != g2:

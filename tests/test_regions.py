@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import weakref
+from dataclasses import replace
 from fractions import Fraction as F
 from math import prod
 
@@ -229,6 +230,10 @@ def test_classify_fig1():
     assert report.verified and not report.ambiguous
     assert report.boundary_flags == frozenset()
     assert report.finite_time_absorption
+    # read off b(1) = N: true for the complete graph alone, at every N
+    for n in range(1, 8):
+        for g in enumerate_dc(n):
+            assert replace(report, graph=g).finite_time_absorption == (g == DCGraph.complete(n))
 
 
 def test_classify_wall_point():
