@@ -20,6 +20,7 @@ from .combinatorics import DCGraph, dc_graphs, dc_to_dyck, enumerate_dc, graph_i
 from .cyclic import (
     DisconnectedRegionError,
     WallTieError,
+    check_extension_cap,
     circular_extensions,
     conjecture_probe,
     jump_order,
@@ -249,6 +250,7 @@ def _probe_one(budget: int, task: tuple[DCGraph, int]):
 def _cmd_conjecture(args) -> int:
     from .combinatorics import connected_component_of_one
 
+    check_extension_cap(args.n)  # before the C_N graphs are built
     graphs = [g for g in enumerate_dc(args.n) if connected_component_of_one(g).n == args.n]
     tasks = list(zip(graphs, spawn_seeds(args.seed, len(graphs))))
     reports = parallel_map(partial(_probe_one, args.budget), tasks, args.jobs)

@@ -9,28 +9,29 @@ C_n and biject with Dyck words of length 2n.
 This module owns the two representations of a DC graph and the only
 conversions between them:
 
-- the edge set ``DCGraph.edges``, the value: equality, hashing, repr
-  and JSON are those of the edge set alone;
-- the b map ``DCGraph.b``: b(i) is the farthest neighbour j > i of i, else
-  i itself, with b(0) = 1.  It is nondecreasing and fixes the graph;
-  ``b_to_dc`` gives the graph back.  Everything else is read from it: the
-  walls ``DCGraph.walls``, the Dyck word (b(i) - b(i-1) up-steps, then a
-  down-step, for each i), the enumeration order (decreasing b maps, one
-  graph at a time in ``dc_graphs``), region adjacency, and the plans and
-  jump orders of the other modules.
+- the b map ``DCGraph.b``, the value: b(i) is the farthest neighbour
+  j > i of i, else i itself, with b(0) = 1.  It is nondecreasing and
+  fixes the graph; ``DCGraph`` holds ``n`` and ``b`` only, and
+  ``b_to_dc`` gives the graph of a b map.  Everything else is read from
+  b: the walls ``DCGraph.walls``, the Dyck word (b(i) - b(i-1) up-steps,
+  then a down-step, for each i), the enumeration order (decreasing b
+  maps, one graph at a time in ``dc_graphs``), region adjacency, and the
+  plans and jump orders of the other modules;
+- the edge set ``DCGraph.edges``, the pairs i < j <= b(i).  It is the
+  input of ``DCGraph(n, edges)`` and what JSON and the references read.
 
-``b`` and ``walls`` are computed on first use and cached on the instance,
-outside the dataclass fields.  ``regions_adjacent`` compares two b maps
-row by row; ``is_antichain`` is the plain reference on arbitrary edge
-sets and ``adjacency_mm_condition`` an independent second
+``edges`` and ``walls`` are computed on first use and cached on the
+instance, outside the dataclass fields.  ``regions_adjacent`` compares
+two b maps row by row; ``is_antichain`` is the plain reference on
+arbitrary edge sets and ``adjacency_mm_condition`` an independent second
 characterization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
 
@@ -52,34 +53,45 @@ def edge_nested(inner: Edge, outer: Edge) -> bool:
 @dataclass(frozen=True)
 class DCGraph:
     n: int
-    edges: frozenset[Edge] = field(default_factory=frozenset)
+    b: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
-        if self.n < 1:
+    def __init__(self, n: int, edges: Iterable[Edge] = frozenset()) -> None:
+        edges = frozenset(tuple(e) for e in edges)
+        if n < 1:
             raise ValueError("vertex count must be >= 1")
-        for (i, j) in self.edges:
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"edge {(i, j)} outside E_{self.n}")
+        b = [1, *range(1, n + 1)]
+        for (i, j) in edges:
+            if not (1 <= i < j <= n):
+                raise ValueError(f"edge {(i, j)} outside E_{n}")
+            b[i] = max(b[i], j)
         # the two immediate children (i+1, j) and (i, j-1) suffice: every
         # pair nested in (i, j) is reached from it by such steps
-        for (i, j) in self.edges:
+        for (i, j) in edges:
             if j - i >= 2:
                 for child in ((i + 1, j), (i, j - 1)):
-                    if child not in self.edges:
+                    if child not in edges:
                         raise ValueError(
                             f"edge set not downward closed: {(i, j)} present, {child} missing"
                         )
+        # the instance is frozen: its dict is written directly
+        vars(self).update(n=n, b=tuple(b))
+
+    def __getstate__(self) -> dict:
+        # a pickle carries the value, not the cached edges and walls
+        return {"n": self.n, "b": self.b}
 
     @cached_property
-    def b(self) -> tuple[int, ...]:
-        """b map, index 0..n: b[i] is the largest j > i joined to i, else
-        i itself; b[0] = 1 by convention."""
-        b = [1, *range(1, self.n + 1)]
-        for (i, j) in self.edges:
-            if j > b[i]:
-                b[i] = j
-        return tuple(b)
+    def edges(self) -> frozenset[Edge]:
+        """frozenset(sorted_edges): one iteration order whatever the build."""
+        return frozenset(self.sorted_edges)
+
+    @property
+    def sorted_edges(self) -> tuple[Edge, ...]:
+        """The edges (i, j), i < j <= b(i), by increasing i, then j."""
+        b = self.b
+        # a list first: tuple() of a generator resizes, and a stream of
+        # those fills CPython's per-size tuple free lists (about 4 MB)
+        return tuple([(i, j) for i in range(1, self.n + 1) for j in range(i + 1, b[i] + 1)])
 
     @cached_property
     def walls(self) -> tuple[tuple[int, int, bool], ...]:
@@ -95,18 +107,6 @@ class DCGraph:
             if b[i] < n and (b[i] == i or b[i + 1] > b[i]):
                 walls.append((i, b[i] + 1, False))
         return tuple(walls)
-
-    @property
-    def sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges))
-
-    # edges go in sorted, as in b_to_dc, so a graph prints the same
-    # (frozenset order) whichever way it was reached
-    def with_edge(self, e: Edge) -> "DCGraph":
-        return DCGraph(self.n, frozenset(sorted(self.edges | {e})))
-
-    def without_edge(self, e: Edge) -> "DCGraph":
-        return DCGraph(self.n, frozenset(sorted(self.edges - {e})))
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.sorted_edges]}
@@ -125,15 +125,15 @@ class DCGraph:
 
     @classmethod
     def complete(cls, n: int) -> "DCGraph":
-        return cls(n, frozenset(all_pairs(n)))
+        return b_to_dc((1, *[n] * n))
 
     @classmethod
     def line(cls, n: int) -> "DCGraph":
-        return cls(n, frozenset((i, i + 1) for i in range(1, n)))
+        return b_to_dc((1, *range(2, n + 1), n))
 
     @classmethod
     def empty(cls, n: int) -> "DCGraph":
-        return cls(n)
+        return b_to_dc((1, *range(1, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,7 @@ def dc_to_dyck(g: DCGraph) -> DyckPath:
     return _dyck_of_b(g.b)
 
 
-# reports and sweep rows ask again for the words of the walk's few graphs;
-# keyed by b map, so a stream of new graphs hashes no edge sets
+# reports and sweep rows ask again for the words of the walk's few graphs
 @lru_cache(maxsize=4096)
 def _dyck_of_b(b: tuple[int, ...]) -> DyckPath:
     b = (0, *b[1:])
@@ -207,18 +206,9 @@ def _b_maps(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _graph_of_b(b: tuple[int, ...]) -> DCGraph:
-    """The DC graph of a valid b map b (index 0..N), with b cached on it.
-    DCGraph's range and downward-closure checks are skipped: the edges
-    (i, j), i < j <= b(i), of a b map pass them by construction.  The
-    edges go in sorted and are frozen a second time, as DCGraph(n, edges)
-    freezes them, so the graph iterates and prints its edges in the same
-    order however it was reached."""
-    n = len(b) - 1
-    edges = frozenset((i, j) for i in range(1, n + 1) for j in range(i + 1, b[i] + 1))
+    """The DC graph of a valid b map b (index 0..N), unchecked."""
     g = object.__new__(DCGraph)
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "edges", frozenset(list(edges)))
-    object.__setattr__(g, "b", b)
+    vars(g).update(n=len(b) - 1, b=b)
     return g
 
 

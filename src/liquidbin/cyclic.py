@@ -142,6 +142,12 @@ def zprime_chains(g: DCGraph) -> tuple[ChainConstraint, ...]:
 _EXTENSION_N_CAP = 9  # extension counts grow factorially with N
 
 
+def check_extension_cap(n: int) -> None:
+    """Refuse n above the extension cap, before anything of size n is built."""
+    if n > _EXTENSION_N_CAP:
+        raise ValueError(f"refusing factorial enumeration for n = {n} > {_EXTENSION_N_CAP}")
+
+
 def all_cyclic_orders(n: int) -> tuple[CyclicOrder, ...]:
     return tuple(
         CyclicOrder((1,) + perm) for perm in itertools.permutations(range(2, n + 1))
@@ -160,8 +166,7 @@ def circular_extensions(g: DCGraph) -> tuple[CyclicOrder, ...]:
     against the fiber of f_map over all (N-1)! orders.
     """
     _require_connected(g)
-    if g.n > _EXTENSION_N_CAP:
-        raise ValueError(f"refusing factorial enumeration for n = {g.n} > {_EXTENSION_N_CAP}")
+    check_extension_cap(g.n)
     chains = [c.entries for c in zprime_chains(g)]
     exts = [CyclicOrder((1,))]
     for v in range(2, g.n + 1):

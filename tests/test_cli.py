@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import liquidbin
 from liquidbin.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_WALL, run
 from liquidbin.combinatorics import dc_to_dyck, enumerate_dc, is_antichain
 from liquidbin.cyclic import sample_params
@@ -525,6 +530,21 @@ def test_conjecture_negative_budget_rejected(capsys):
     code, out, _ = run_cli(capsys, "conjecture", "--n", "3", "--budget", "0")
     assert code == EXIT_OK
     assert [g["samples"] for g in json.loads(out)["graphs"]] == [0, 0]
+
+
+@pytest.mark.parametrize("n", [13, 40])
+def test_conjecture_refuses_large_n_before_enumerating(n):
+    # C_13 = 742,900 graphs: the refusal must come before any is built, so
+    # in a subprocess under a timeout
+    src = str(Path(liquidbin.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "liquidbin.cli", "conjecture", "--n", str(n), "--budget", "1"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: refusing factorial enumeration for n = {n} > 9\n"
 
 
 def test_conjecture_command(tmp_path, capsys):

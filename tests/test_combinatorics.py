@@ -2,6 +2,7 @@ import json
 import pickle
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from liquidbin.combinatorics import (
     regions_adjacent,
     stanley_covers,
 )
+from liquidbin.cyclic import all_cyclic_orders, f_map
 
 FIG2 = DCGraph(5, frozenset({(1, 2), (1, 3), (2, 3), (4, 5)}))
 
@@ -184,6 +186,13 @@ def test_b_map():
         b_map(DCGraph.empty(3), -1)
 
 
+def assert_is_the_graph_of_its_b_map(g):
+    h = b_to_dc(g.b)
+    assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
+    assert list(h.edges) == list(g.edges) and h.sorted_edges == g.sorted_edges == tuple(sorted(g.edges))
+    assert g.b == reference_b(g)
+
+
 def test_b_is_the_edge_scan_and_b_to_dc_inverts_it():
     # every DC graph up to N = 8: b_to_dc(g.b) is g, down to the frozenset
     # order of dyck_to_dc, and b is nondecreasing with b(i) >= i
@@ -196,6 +205,50 @@ def test_b_is_the_edge_scan_and_b_to_dc_inverts_it():
             h = b_to_dc(b)
             assert h == g and repr(h) == repr(g) and list(h.edges) == list(g.edges)
             assert b_to_dc(b) is h  # cached by value
+    # every other way to a graph gives the same value, repr and edge order
+    for n in range(1, 9):
+        assert DCGraph.complete(n).edges == frozenset(all_pairs(n))
+        assert DCGraph.line(n).edges == frozenset((i, i + 1) for i in range(1, n))
+        assert DCGraph.empty(n).edges == frozenset()
+        for g in (DCGraph.complete(n), DCGraph.line(n), DCGraph.empty(n)):
+            assert_is_the_graph_of_its_b_map(g)
+    for n in range(1, 7):
+        for g in enumerate_dc(n):
+            g.walls
+            restored = pickle.loads(pickle.dumps(g))
+            assert vars(restored) == {"n": n, "b": g.b}  # the value only, no cached edges or walls
+            for h in (DCGraph.from_json_dict(json.loads(json.dumps(g.to_json_dict()))),
+                      dyck_to_dc(dc_to_dyck(g)), connected_component_of_one(g), restored):
+                assert_is_the_graph_of_its_b_map(h)
+    for n in range(1, 7):
+        for z in all_cyclic_orders(n):
+            assert_is_the_graph_of_its_b_map(f_map(z))
+
+
+def test_graph_from_any_edge_order_is_the_graph_of_its_b_map():
+    # DCGraph(n, edges) stores the b map, so the order the edges come in
+    # shows neither in repr nor in the order they iterate
+    rng = random.Random(2024)
+    for n in range(1, 8):
+        for g in enumerate_dc(n):
+            edges = list(g.edges)
+            rng.shuffle(edges)
+            f = DCGraph(n, edges)
+            h = b_to_dc(g.b)
+            assert f.edges == set(edges) and f == h
+            assert repr(f) == repr(h) and list(f.edges) == list(h.edges)
+
+
+def test_enumeration_holds_n_and_b_only():
+    # C_10 = 16,796 graphs, each of n and its b map: no edge set is built
+    tracemalloc.start()
+    try:
+        graphs = list(dc_graphs(10))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graphs) == catalan(10)
+    assert held <= 10_000_000, f"{held / 1e6:.1f} MB held"
 
 
 @pytest.mark.parametrize("b", [
@@ -391,10 +444,9 @@ def test_adjacency_errors_unchanged():
 
 def test_b_map_stays_out_of_equality_and_survives_pickling():
     graphs = list(enumerate_dc(5))
-    fresh = [DCGraph(5, g.edges) for g in graphs]  # no b map computed yet
+    fresh = [DCGraph(5, g.edges) for g in graphs]
     for g, f in zip(graphs, fresh):
         g.b
-        assert "b" not in vars(f)
         assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
         assert f.to_json_dict() == g.to_json_dict()
     restored = [pickle.loads(pickle.dumps(g)) for g in graphs + fresh]
