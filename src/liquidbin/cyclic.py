@@ -62,13 +62,21 @@ class CyclicOrder:
         return 0 < dy < dz
 
     def is_chain(self, entries: Sequence[int]) -> bool:
-        """(i_1, ..., i_m) appears in clockwise order (vacuous for m <= 2)."""
+        """(i_1, ..., i_m) appears in clockwise order (vacuous for m <= 2):
+        contains(i_1, i_k, i_{k+1}) for every k, that is, the clockwise
+        offsets of i_2, ..., i_m from i_1 are positive and increasing.
+        Each entry is looked up once, and the test stops at the first
+        offset out of order."""
         if len(entries) <= 2:
             return True
-        return all(
-            self.contains(entries[0], entries[k], entries[k + 1])
-            for k in range(1, len(entries) - 1)
-        )
+        order = self.order
+        n, start, prev = len(order), order.index(entries[0]), 0
+        for v in entries[1:]:
+            offset = (order.index(v) - start) % n
+            if offset <= prev:
+                return False
+            prev = offset
+        return True
 
 
 @dataclass(frozen=True)

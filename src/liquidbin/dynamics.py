@@ -31,6 +31,7 @@ from itertools import accumulate, compress, repeat
 from operator import itemgetter, le
 from typing import Callable
 
+from ._codegen import compile_functions
 from .params import Number, Params, ParamsError, format_number, is_exact_scalar, parse_number
 
 _REL_TIE = 1e-12
@@ -371,9 +372,9 @@ def _bin_loop_source(n: int) -> str:
 @lru_cache(maxsize=64)
 def _bin_loop(n: int) -> Callable:
     """The bin event loop at N = n: _bin_loop_source compiled once."""
-    namespace = {"accumulate": accumulate, "Event": Event, "CURSOR_JUMP": CURSOR_JUMP, "TIE": _TIE}
-    exec(compile(_bin_loop_source(n), f"<bin event loop, N = {n}>", "exec"), namespace)
-    return namespace.pop("run")
+    run, = compile_functions(_bin_loop_source(n), f"<bin event loop, N = {n}>", "run",
+                             accumulate=accumulate, Event=Event, CURSOR_JUMP=CURSOR_JUMP, TIE=_TIE)
+    return run
 
 
 def evolve_bins(x: BinConfig, params: Params, t: Number) -> tuple[BinConfig, EventLog]:

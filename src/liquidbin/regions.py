@@ -15,6 +15,9 @@ Each b map's solve is read from a cached plan of its nonzero terms; once
 a b map has been solved _COMPILE_AFTER times, the plan is compiled into
 a straight-line Python function that computes the same terms in the same
 order, so hot graphs skip the interpretation and cold ones the compile.
+The same compile gives the b map a walk step, the solve followed by its
+wall test, and the walk finds the next b map with a function generated
+once per N (_gap_b).
 """
 from __future__ import annotations
 
@@ -33,20 +36,23 @@ from .combinatorics import (
     graph_index,
     regions_adjacent,
 )
+from ._codegen import compile_functions
 from ._parallel import parallel_map
 from .params import Number, Params, ParamsError, parse_number
 
 
-# solves a plan interprets before it compiles its kernel: the compile
-# (0.2 ms at N = 3, 0.7 ms at N = 8) pays for itself after 23-29 solves
-# at N = 3..12, measured on random graphs
+# solves a plan interprets before it compiles its solve and walk step:
+# the compile (0.3 ms at N = 3, 1.0 ms at N = 8) pays for itself after
+# 34-40 solves at N = 3..12 on the solve alone, measured on random
+# graphs, and sooner on the b maps the walk steps on
 _COMPILE_AFTER = 32
 
 
 @dataclass(eq=False, slots=True)
 class _Plan:
     """Index structure of a graph's linear system (see _plan_b), and the
-    solve compiled from it once the b map is hot (see _compile)."""
+    solve and walk step compiled from it once the b map is hot (see
+    _compile)."""
 
     b: tuple[int, ...]  # b map, index 0..N
     # i -> (h, mid) per edge (i, h) whose weight
@@ -57,7 +63,8 @@ class _Plan:
     paths: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
     rated: tuple[tuple[int, ...], ...]  # i -> i and the j of paths[i] with b(j) != b(j-1)
     solves: int = 0  # solves interpreted so far
-    kernel: Callable | None = None  # _compile(self), after _COMPILE_AFTER solves
+    kernel: Callable | None = None  # solve(q, d) of _compile(self), after _COMPILE_AFTER solves
+    step: Callable | None = None  # step(q, d, tol) of _compile(self), compiled with kernel
 
 
 @lru_cache(maxsize=4096)
@@ -87,8 +94,8 @@ def _plan_b(b: tuple[int, ...]) -> _Plan:
 
     solve_system reads the plan term by term for its first _COMPILE_AFTER
     solves, then runs its kernel: the same terms written out as Python
-    source and compiled once (see _compile).  The kernel lives on the
-    plan, so it leaves this cache with it.
+    source and compiled once (see _compile), with the walk's step.  Both
+    live on the plan, so they leave this cache with it.
     """
     n = len(b) - 1
     gammas: list = [()] * (n + 1)
@@ -109,23 +116,29 @@ def _plan_b(b: tuple[int, ...]) -> _Plan:
 
 
 def _kernel_source(plan: _Plan) -> str:
-    """Python source of solve(q, d) -> z for the plan's graph: one
+    """Python source of solve(q, d) -> z for the plan's graph, and of its
+    walk step step(q, d, tol) (see _step_source).  The solve has one
     statement per edge weight g{i}_{h}, path weight w{i}_{j}, gap sum s{i}
     and rate sum r{i}.  The terms are those of _path_weights and
     _interpret's gap_sum and rate_sum, in the same order, each computed as
     they compute it, with two rewrites that move no bit: a path weight of
     1 drops out of its product (x * 1 and 1 * x are x, in value and type,
     for a float or a Fraction), and each rate difference
-    q[b(j)] - q[b(j-1)] is a local e{j}, computed once.  Every sum is one
-    sum((t1, t2, ...)) call, never t1 + t2, so it rounds as the
-    interpreted sum() does on every Python version, compensated (3.12+)
-    or not.  Only the plan's integer indices reach the text."""
+    q[b(j)] - q[b(j-1)] is a local e{j}, computed once.  Every sum of two
+    or more terms is one sum((t1, t2, ...)) call, never t1 + t2, so it
+    rounds as the interpreted sum() does on every Python version,
+    compensated (3.12+) or not; a single term stands alone, since
+    sum((t,)) is 0 + t, which is t unless t is -0.0, and no term is: each
+    is a product or quotient of values >= 0 (see _plan_b).  Only the
+    plan's integer indices reach the text."""
     b = tuple(map(int, plan.b))
     n = len(b) - 1
     gammas, paths, rated = plan.gammas, plan.paths, plan.rated
 
     def total(terms: list[str]) -> str:
-        return f"sum(({', '.join(terms)},))" if terms else "0"  # sum(()) is the int 0
+        if len(terms) > 1:
+            return f"sum(({', '.join(terms)},))"
+        return terms[0] if terms else "0"  # sum((t,)) is t, sum(()) the int 0
 
     lines = ["def solve(q, d):",
              f"    {''.join(f'q{k}, ' for k in range(n + 1))}= q",
@@ -145,14 +158,51 @@ def _kernel_source(plan: _Plan) -> str:
         lines.append(f"    r{i} = " + total(rates))
     lines.append("    z1 = s1 / (1 + r1)")
     lines.append(f"    return (z1, {''.join(f's{i} - z1 * r{i}, ' for i in range(2, n + 1))})")
+    return "\n".join(lines) + "\n" + _step_source(b)
+
+
+def _step_source(b: tuple[int, ...]) -> str:
+    """Python source of step(q, d, tol) -> (z, gaps, clear), the walk's
+    step on the graph of b map b: z = solve(q, d), then the wall test of
+    _holds over DCGraph.walls, in its order, each gap as _holds sums it
+    (see _gap_source), stopping at the first wall on the wrong side.
+    gaps is None when the region does not hold, else the wall gaps, from
+    which the caller reads the exact-zero flags.
+
+    clear is True, with gaps (), when tol is not None and the test holds
+    clear: every z_i >= 0, every maximal gap > max(tol, 1e-12) * z1 and
+    every addable gap < -tol * z1.  Then _region_gaps(g, z, tol) verifies
+    without flags, and _gap_b(z, max(tol, 1e-12) * z1) is b: an addable
+    pair fails the margin, and a sub-pair of a maximal edge sums a part
+    of its nonnegative terms, so its gap is no smaller.  (A float sum of
+    nonnegative terms does not grow when terms are left out: so it is for
+    the left-to-right sum of Python <= 3.11, and, but for a last-bit
+    rounding, for the compensated sum of 3.12+; the tests check the
+    claim.)  Only a float walk passes a tol: an exact one never computes
+    the float margin."""
+    n = len(b) - 1
+    walls = _cached_graph_of_b(b).walls
+    zs = ", ".join(f"z{k}" for k in range(1, n + 1))
+    lines = ["def step(q, d, tol, solve=solve):",
+             "    z = solve(q, d)",
+             f"    {zs}, = z"]
+    for k, (i, j, is_maximal) in enumerate(walls):
+        lines.append(f"    x{k} = {_gap_source(i, j)}")
+        lines.append(f"    if {'not ' if is_maximal else ''}x{k} > 0:")
+        lines.append("        return z, None, False")
+    tests = [f"z{k} >= 0" for k in range(1, n + 1)]
+    tests += [f"x{k} > margin" if is_maximal else f"x{k} < low" for k, (_, _, is_maximal) in enumerate(walls)]
+    lines += ["    if tol is not None:",
+              "        margin, low = max(tol, 1e-12) * z1, -tol * z1",
+              f"        if {' and '.join(tests)}:",
+              "            return z, (), True",
+              f"    return z, ({''.join(f'x{k}, ' for k in range(len(walls)))}), False"]
     return "\n".join(lines) + "\n"
 
 
-def _compile(plan: _Plan) -> Callable:
-    """The plan's kernel: _kernel_source compiled once."""
-    namespace: dict = {}
-    exec(compile(_kernel_source(plan), f"<solve kernel of b map {plan.b}>", "exec"), namespace)
-    return namespace.pop("solve")  # taken out, so kernel and namespace form no cycle
+def _compile(plan: _Plan) -> tuple[Callable, Callable]:
+    """The plan's solve and walk step: _kernel_source compiled once."""
+    return compile_functions(_kernel_source(plan), f"<solve kernel of b map {plan.b}>", "solve", "step")
 
 
 def _path_weights(plan: _Plan, q: Sequence[Number]) -> list[dict[int, Number]]:
@@ -214,7 +264,8 @@ def solve_system(g: DCGraph, params: Params) -> tuple[Number, ...]:
         if plan.solves < _COMPILE_AFTER:
             plan.solves += 1
             return _interpret(plan, q, d)
-        kernel = plan.kernel = _compile(plan)
+        plan.kernel, plan.step = _compile(plan)
+        kernel = plan.kernel
     return kernel(q, d)
 
 
@@ -377,17 +428,51 @@ def _gap_b(z: Sequence[Number], margin: Number) -> tuple[int, ...]:
     by such steps), so row i is the run of pairs above the margin from
     (i, i+1) up to at most b(i+1).  Going down i, only those pairs are
     summed: at most O(N^2) gaps, each z[0] - sum(z[i:j]) as the wall
-    tests sum it.
+    tests sum it.  The work is done by the function of N = len(z) that
+    _gap_b_source writes (compiled once per N).
     """
-    n = len(z)
-    b = [1] * (n + 1)
-    b[n] = n
+    return _gap_b_of_n(len(z))(z, margin)
+
+
+def _gap_source(i: int, j: int) -> str:
+    """Source of the gap of pair (i, j) from the locals z1, z2, ...:
+    z1 - sum((z{i+1}, ..., z{j},)), one sum per pair, as _holds and
+    _region_gaps sum z[0] - sum(z[i:j]), so the bits are theirs on every
+    Python version.  A single term is subtracted as it is: sum((x,)) is
+    x but for -0.0, whose sum is +0.0, so the gap can differ only in the
+    sign of a zero, which no comparison sees."""
+    if j == i + 1:
+        return f"z1 - z{j}"
+    return f"z1 - sum(({''.join(f'z{m}, ' for m in range(i + 1, j + 1))}))"
+
+
+def _gap_b_source(n: int) -> str:
+    """Python source of gap_b(z, margin) at N = n: row i of the b map is
+    the local b{i}, which starts at i and moves to k while b{i} == k - 1
+    < b{i+1} and the gap of (i, k) is above the margin, for k = i+1..N
+    in turn.  So the gaps summed are the loop's, in its order, each as
+    the wall tests sum it (see _gap_source).  One flat if per pair and no
+    nesting, so any N compiles: the tokenizer allows at most 100 indent
+    levels."""
+    lines = ["def gap_b(z, margin):",
+             f"    {''.join(f'z{k}, ' for k in range(1, n + 1))}= z",
+             f"    b{n} = {n}"]
     for i in range(n - 1, 0, -1):
-        j = i
-        while j < b[i + 1] and z[0] - sum(z[i:j + 1]) > margin:
-            j += 1
-        b[i] = j
-    return tuple(b)
+        lines.append(f"    b{i} = {i}")
+        for k in range(i + 1, n + 1):
+            gap = f"{_gap_source(i, k)} > margin"
+            # b{i} == i < b{i+1} always holds for k = i + 1
+            lines.append(f"    if {gap if k == i + 1 else f'b{i} == {k - 1} < b{i + 1} and {gap}'}:")
+            lines.append(f"        b{i} = {k}")
+    lines.append(f"    return (1, {''.join(f'b{i}, ' for i in range(1, n + 1))})")
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=64)
+def _gap_b_of_n(n: int) -> Callable:
+    """_gap_b at N = n: _gap_b_source compiled once."""
+    gap_b, = compile_functions(_gap_b_source(n), f"<next b map, N = {n}>", "gap_b")
+    return gap_b
 
 
 def _holds(walls: Sequence[tuple[int, int, bool]], z: Sequence[Number]) -> frozenset[Edge] | None:
@@ -405,33 +490,46 @@ def _holds(walls: Sequence[tuple[int, int, bool]], z: Sequence[Number]) -> froze
     return frozenset(flags)
 
 
-def _walk(params: Params, b: tuple[int, ...] | None = None) -> tuple[DCGraph, tuple, frozenset[Edge] | None]:
+def _walk(
+    params: Params, b: tuple[int, ...] | None = None, tol: Number | None = None
+) -> tuple[DCGraph, tuple, frozenset[Edge] | None, bool]:
     """Newton's method on the piecewise-linear stationarity equations.
 
     From the graph of b map b (the empty graph by default), solve the
     current graph's system and move to the graph whose walls that
     solution lies inside.  Returns the first graph whose region holds the
-    parameters, with its solution and the flags of its wall test (see
-    _holds), or, once the walk comes back to a b map, that graph and its
-    solution with flags None.  Each step costs one closed-form solve,
-    however slowly the fixed-point iteration would contract (it needs
-    about q_N/q_1 steps).
+    parameters, with its solution, the flags of its wall test (those of
+    _holds) and whether that test held clear at tol, or, once the walk
+    comes back to a b map, that graph and its solution with flags None.
+    Each step costs one closed-form solve, however slowly the fixed-point
+    iteration would contract (it needs about q_N/q_1 steps).
 
     The walk runs on b maps, which fix the graphs: a step costs one
     solve, O(N) wall tests and at most O(N^2) pair sums (see _gap_b),
-    and its graph and plan come from caches keyed by the b map.
+    and its graph and plan come from caches keyed by the b map.  A hot
+    b map runs the solve and the wall tests as one call of its compiled
+    step, which also tells whether the test holds clear at tol (see
+    _step_source; a float walk passes its tol, an exact one None); a
+    cold one runs solve_system and _holds, and never reports clear.  The
+    next b map is one call of the compiled _gap_b of N.
     """
     if b is None:
         b = (1, *range(1, params.n + 1))
+    q, d = params.q, params.d
     seen = set()
     while True:
         g = _cached_graph_of_b(b)
-        z = solve_system(g, params)
         if b in seen:
-            return g, z, None
-        flags = _holds(g.walls, z)
+            return g, solve_system(g, params), None, False
+        step = _plan_b(b).step
+        if step is None:
+            z = solve_system(g, params)
+            flags, clear = _holds(g.walls, z), False
+        else:
+            z, gaps, clear = step(q, d, tol)
+            flags = None if gaps is None else frozenset(w[:2] for w, x in zip(g.walls, gaps) if x == 0)
         if flags is not None:
-            return g, z, flags
+            return g, z, flags, clear
         seen.add(b)
         b = _gap_b(z, 0)
 
@@ -440,7 +538,7 @@ def _exact_walk(params: Params, b: tuple[int, ...]) -> tuple[DCGraph, tuple, fro
     """The region of exact parameters, its solution and wall flags: the
     walk from b map b, or find_region should the walk come back to a b
     map (no termination proof is known for the walk)."""
-    g, z, flags = _walk(params, b)
+    g, z, flags, _ = _walk(params, b)
     if flags is None:
         g, flags = find_region(params)
         z = solve_system(g, params)
@@ -468,14 +566,20 @@ def classify(params: Params, tol: Number = 1e-9) -> RegionReport:
     relative tolerance of zero makes the report ambiguous (an explicit
     wall result, never a silent guess).  tol must be finite and >= 0
     (ValueError otherwise).
+
+    When the float walk ends clear of every wall (see _walk), the
+    proposal is the walk's graph and, for float input, the report is that
+    graph verified without flags, with no further pair sum or wall test.
     """
     _check_tol(tol)
     exact = params.is_exact
-    g, z, _ = _walk(params.as_float() if exact else params)
-    proposal = _gap_b(z, max(tol, 1e-12) * z[0])
+    g, z, _, clear = _walk(params.as_float() if exact else params, tol=tol)
+    proposal = g.b if clear else _gap_b(z, max(tol, 1e-12) * z[0])
     if exact:
         g, z, flags = _exact_walk(params, proposal)
         return _report(params, g, z, True, flags)
+    if clear:
+        return _report(params, g, z, True, frozenset())
     if proposal != g.b:
         g = _cached_graph_of_b(proposal)
         z = solve_system(g, params)

@@ -349,6 +349,21 @@ def gap_edges(z, margin) -> frozenset:
     return frozenset(keep)
 
 
+def reference_gap_b(z, margin) -> tuple[int, ...]:
+    """regions._gap_b as the loop it was before it was generated per N:
+    the oracle for the compiled function.  Row i runs from (i, i+1) while
+    the pair is above the margin, up to at most b(i+1)."""
+    n = len(z)
+    b = [1] * (n + 1)
+    b[n] = n
+    for i in range(n - 1, 0, -1):
+        j = i
+        while j < b[i + 1] and z[0] - sum(z[i:j + 1]) > margin:
+            j += 1
+        b[i] = j
+    return tuple(b)
+
+
 def reference_walk(params: Params) -> tuple[combinatorics.DCGraph, tuple]:
     """regions._walk on DCGraph values: the oracle for the walk on b maps.
 

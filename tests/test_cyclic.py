@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 import tracemalloc
@@ -55,6 +56,17 @@ def test_triple_membership():
     assert z.contains(3, 2, 1)
     assert not z.contains(1, 2, 3)
     assert z.is_chain((1,)) and z.is_chain((1, 2))
+
+
+def test_is_chain_is_the_conjunction_of_its_triples():
+    # the definition: contains(i_1, i_k, i_{k+1}) for k = 2..m-1, on every
+    # order at N <= 6 and every tuple of 3 or 4 distinct entries
+    for n in range(3, 7):
+        for z in all_cyclic_orders(n):
+            for m in (3, 4):
+                for entries in itertools.permutations(range(1, n + 1), m):
+                    want = all(z.contains(entries[0], entries[k], entries[k + 1]) for k in range(1, m - 1))
+                    assert z.is_chain(entries) == want, (z, entries)
 
 
 def test_chain_constraint_validation():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import weakref
 from dataclasses import replace
 from fractions import Fraction as F
@@ -15,6 +16,7 @@ from conftest import (
     gap_edges,
     random_rational_params,
     reference_b,
+    reference_gap_b,
     reference_walk,
     tied_phase_thresholds,
 )
@@ -586,12 +588,16 @@ def test_ambiguous_float_report_names_the_region_of_the_binary_value(forbid_enum
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-def test_walk_that_comes_back_to_a_b_map_falls_back_to_find_region(monkeypatch, exact):
+def test_walk_that_comes_back_to_a_b_map_falls_back_to_find_region(cold_plans, monkeypatch, exact):
     # the walk has no termination proof: should its step cycle between two
-    # graphs, the exhaustive scan still names the region
+    # graphs, the exhaustive scan still names the region.  Every b map
+    # stays cold, so no walk ends clear and classify takes its proposal
+    # from the patched _gap_b even where the float walk ends on its first
+    # graph (a hot b map's compiled step would end it clear)
     rng = random.Random(16)
     scans = []
     monkeypatch.setattr(regions, "find_region", lambda *a: scans.append(a) or find_region(*a))
+    monkeypatch.setattr(regions, "_COMPILE_AFTER", math.inf)
     for n in range(3, 7):
         params = random_rational_params(rng, n)
         if not exact:
@@ -798,7 +804,7 @@ def assert_kernel_matches(g, points, mixed):
     mixed-type Params the dense float zero terms can turn an exact sum
     into a float, so the interpreted solve is the reference there.)"""
     plan = regions._plan_b(g.b)
-    kernel = regions._compile(plan)
+    kernel, _ = regions._compile(plan)
     for params in (*points, *mixed):
         got = kernel(params.q, params.d)
         wants = [regions._interpret(plan, params.q, params.d)]
@@ -878,10 +884,11 @@ def test_evicting_a_plan_drops_its_kernel(cold_plans):
     for _ in range(regions._COMPILE_AFTER + 1):
         solve_system(g, params)
     kernel = weakref.ref(regions._plan_b(g.b).kernel)
-    assert kernel() is not None
+    step = weakref.ref(regions._plan_b(g.b).step)
+    assert kernel() is not None and step() is not None
     for b in itertools.islice(combinatorics._b_maps(9), 4096):  # fills the cache
         regions._plan_b(b)
-    assert kernel() is None  # freed with its plan, no garbage collection needed
+    assert kernel() is None and step() is None  # freed with their plan, no garbage collection needed
     assert regions._plan_b(g.b).kernel is None and regions._plan_b(g.b).solves == 0
 
 
@@ -920,11 +927,113 @@ def test_gap_edges_closure_matches_the_sub_pair_filter():
         n = len(z)
         want = gap_edges(z, margin)
         assert want == gap_edges_reference(z, margin)
-        assert regions._gap_b(z, margin) == reference_b(DCGraph(n, want))
+        assert regions._gap_b(z, margin) == reference_b(DCGraph(n, want)) == reference_gap_b(z, margin)
         up = {(i, j) for (i, j) in all_pairs(n) if z[0] - sum(z[i:j]) > margin}
         removed += len(up) - len(want)
         nan += any(x != x for x in z) and bool(want)
     assert removed and nan  # the closure step and nan gaps were exercised
+
+
+def _gap_b_vectors(n):
+    # z_1 mostly positive and the rest of mixed signs, small enough for
+    # rows to run far: floats, exact zeros of every kind and Fractions
+    head = st.one_of(st.floats(-0.5, 4), st.fractions(0, 4, max_denominator=9))
+    entry = st.one_of(st.floats(-0.5, 1), st.sampled_from([0, 0.0, -0.0, F(0)]),
+                      st.fractions(-1, 1, max_denominator=9))
+    return st.tuples(head, *[entry] * (n - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 20).flatmap(_gap_b_vectors),
+       st.one_of(st.sampled_from([0, 0.0, F(0)]), st.floats(1e-12, 2), st.fractions(F(1, 10**6), 2)))
+def test_compiled_gap_b_matches_the_interpreted_loop(z, margin):
+    assert regions._gap_b(z, margin) == reference_gap_b(z, margin)
+    assert regions._gap_b(list(z), margin) == reference_gap_b(z, margin)
+
+
+def test_gap_b_compiles_at_n60_within_a_second():
+    # one flat if per pair, 1,770 of them: no indent limit, and a compile
+    # fit for any N the package serves
+    start = time.perf_counter()
+    gap_b = regions._gap_b_of_n.__wrapped__(60)
+    assert time.perf_counter() - start < 1.0
+    rng = random.Random(60)
+    for scale in (0.001, 0.02, 0.05, 1.0):
+        z = [1.0] + [scale * rng.uniform(-0.2, 1) for _ in range(59)]
+        assert gap_b(z, 0) == reference_gap_b(z, 0)
+    assert gap_b([1.0] + [0.01] * 59, 0) == (1, *[60] * 60)
+
+
+def _wall_step_reference(g, z, tol):
+    """(flags, clear) of the compiled step, from _holds and the clear rule
+    written out on the walls."""
+    flags = regions._holds(g.walls, z)
+    if flags is None or tol is None:
+        return flags, False
+    z1 = z[0]
+    margin, low = max(tol, 1e-12) * z1, -tol * z1
+    clear = all(x >= 0 for x in z) and all(
+        z1 - sum(z[i:j]) > margin if is_maximal else z1 - sum(z[i:j]) < low for (i, j, is_maximal) in g.walls)
+    return flags, clear
+
+
+def test_compiled_step_matches_the_wall_tests_on_every_graph_to_n8():
+    """The step of every graph at N <= 8, on points in its region and on
+    others, float (at three tolerances) and exact (wall points too): z as
+    the solve gives it, the verdict and flags of _holds, clear exactly
+    where the rule holds, and where it does, the b map of _gap_b at the
+    proposal margin is the graph's and _region_gaps verifies unflagged."""
+    rng = random.Random(23)
+    np_rng = np.random.default_rng(23)
+    statuses = {"out": 0, "holds": 0, "flagged": 0, "clear": 0}
+    for n in range(1, 9):
+        floats = [sample_params(np_rng, n) for _ in range(20)]
+        exact = [p.as_exact() for p in floats[:3]] + [random_rational_params(rng, n) for _ in range(4)]
+        exact += [Params(tied_phase_thresholds(rng, n), (F(1),) * n) for _ in range(3)]
+        home: dict[tuple, list[Params]] = {}
+        for params in floats + exact:
+            home.setdefault(classify(params, tol=0).graph.b, []).append(params)
+        for g in enumerate_dc(n):
+            plan = regions._plan_b(g.b)
+            solve, step = regions._compile(plan)
+            for params in home.get(g.b, []) + rng.sample(floats, 2) + rng.sample(exact, 2):
+                for tol in ((None,) if params.is_exact else (None, 0, 1e-9, 1e-2)):
+                    z, gaps, clear = step(params.q, params.d, tol)
+                    assert repr(z) == repr(solve(params.q, params.d))
+                    flags, want_clear = _wall_step_reference(g, z, tol)
+                    assert clear == want_clear, (g, params, tol)
+                    assert (gaps is None) == (flags is None), (g, params, tol)
+                    if gaps is None:
+                        statuses["out"] += 1
+                        assert not regions._region_gaps(g, z, 0)[0]
+                    elif clear:
+                        statuses["clear"] += 1
+                        assert gaps == () and flags == frozenset()
+                        assert regions._gap_b(z, max(tol, 1e-12) * z[0]) == g.b
+                        assert regions._region_gaps(g, z, tol) == (True, frozenset())
+                    else:
+                        statuses["holds"] += 1
+                        statuses["flagged"] += bool(flags)
+                        assert frozenset(w[:2] for w, x in zip(g.walls, gaps) if x == 0) == flags
+                        assert regions._region_gaps(g, z, 0) == (True, flags)
+    assert all(statuses.values()), statuses
+
+
+def test_classify_shortcut_gives_the_report_of_the_full_check(cold_plans, monkeypatch):
+    # with every b map cold, no walk ends clear and classify checks every
+    # proposal; with every b map hot, most float walks end clear and
+    # classify takes the shortcut: the reports must be the same
+    rng = np.random.default_rng(24)
+    points = [sample_params(rng, n) for n in range(1, 9) for _ in range(40)]
+    points += [p.as_exact() for p in points[::7]]
+    tols = (0, 1e-9, 1e-2)
+    monkeypatch.setattr(regions, "_COMPILE_AFTER", math.inf)
+    checked = [repr(classify(p, tol=tol)) for tol in tols for p in points]
+    assert not any(regions._walk(p.as_float(), tol=1e-9)[3] for p in points)
+    monkeypatch.setattr(regions, "_COMPILE_AFTER", 0)
+    assert [repr(classify(p, tol=tol)) for tol in tols for p in points] == checked
+    for tol in tols:
+        assert sum(regions._walk(p.as_float(), tol=tol)[3] for p in points) > len(points) // 2
 
 
 def test_walk_on_b_maps_matches_the_graph_walk():
@@ -944,7 +1053,7 @@ def test_walk_on_b_maps_matches_the_graph_walk():
         for _ in range(10):
             points.append(Params(tied_phase_thresholds(wall_rng, n), (1,) * n).as_float())
     for params in points:
-        g, z, _ = regions._walk(params)
+        g, z, *_ = regions._walk(params)
         g_ref, z_ref = reference_walk(params)
         assert g == g_ref and repr(z) == repr(z_ref), params
         # edges put in sorted, so the graph prints as dyck_to_dc's does
