@@ -89,7 +89,7 @@ def _cmd_simulate(args) -> int:
         _write_csv(
             args.trace,
             ["time", "kind", "index", "location"],
-            [[format_number(ev.time), ev.kind, ev.index, format_number(ev.location)] for ev in log],
+            ([format_number(ev.time), ev.kind, ev.index, format_number(ev.location)] for ev in log),
         )
     _emit({"front": x1.front, "volumes": list(x1.volumes), "events": len(log)})
     return EXIT_OK

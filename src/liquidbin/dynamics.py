@@ -177,7 +177,9 @@ def _exact_mode(params: Params, values: tuple[Number, ...]) -> bool:
 
 class _CarSim:
     """Mutable car-model state; positions descending, the trailing entry
-    is the head of the queue at 0."""
+    is the head of the queue at 0.  Cars leave pos only from the front
+    and join it only at the back, numbered from 0 in that order, so the
+    car in slot k has id _next_id - len(pos) + k."""
 
     def __init__(self, y: CarConfig, params: Params):
         if y.positions and not y.positions[0] < params.a[-1]:
@@ -186,12 +188,9 @@ class _CarSim:
         self.exact = _exact_mode(params, y.positions)
         self.t: Number = 0 * params.a[0]
         self.pos: list[Number] = list(y.positions)
-        self.ids: list[int] = list(range(len(self.pos)))
-        self._next_id = len(self.pos)
         if not self.pos or self.pos[-1] > 0:
             self.pos.append(0 * params.a[0])
-            self.ids.append(self._next_id)
-            self._next_id += 1
+        self._next_id = len(self.pos)
         self.crossings: list[tuple[Number, int, int]] = []  # (time, sign, car id)
 
     def run(self, duration: Number, one_batch: bool = False) -> None:
@@ -207,7 +206,7 @@ class _CarSim:
         sign order, and cars past a_N (a prefix) leave."""
         a, q, n, exact = self.a, self.q, self.n, self.exact
         a_n, zero = a[-1], 0 * a[0]
-        pos, ids, t, next_id = self.pos, self.ids, self.t, self._next_id
+        pos, t, next_id = self.pos, self.t, self._next_id
         record = self.crossings.append
         remaining = duration
         while remaining > 0:
@@ -228,7 +227,6 @@ class _CarSim:
             pos = [x + v * dt for x, v in zip(pos, speeds)]
             if pos[-1] > 0:
                 pos.append(zero)
-                ids.append(next_id)
                 next_id += 1
             t = t + dt
             if last:
@@ -237,14 +235,15 @@ class _CarSim:
             batch = list(compress(events, map(le, times, repeat(dt if exact else dt * _TIE))))
             if len(batch) > 1:
                 batch.sort(key=_SIGN)
+            first_id = next_id - len(pos)  # the id of slot 0
             for (k, sign) in batch:
                 pos[k] = a[sign - 1]  # snap: exact in rational mode, drift-free in float
-                record((t, sign, ids[k]))
+                record((t, sign, first_id + k))
             if pos[0] >= a_n:
                 gone = 1
                 while gone < len(pos) and pos[gone] >= a_n:
                     gone += 1
-                del pos[:gone], ids[:gone]
+                del pos[:gone]
             if one_batch:
                 break
         self.pos, self.t, self._next_id = pos, t, next_id
@@ -265,7 +264,8 @@ def next_event_time(y: CarConfig, params: Params):
     sim.run(math.inf, one_batch=True)
     if not sim.crossings:
         raise ValueError("no pending sign crossing (empty system)")
-    # no car has left or joined ahead of a crossing car yet: ids are slots.
+    # no car has left yet, and a car joins only at the back, so the id
+    # of a crossing car, _next_id - len(pos) + slot, is its slot.
     # The batch is applied in sign order but frozen in slot order, the
     # order of the scan, so the set iterates the same whatever the signs.
     return sim.t, frozenset(sorted((car, sign) for (_, sign, car) in sim.crossings))

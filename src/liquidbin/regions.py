@@ -16,14 +16,15 @@ a b map has been solved _COMPILE_AFTER times, the plan is compiled into
 a straight-line Python function that computes the same terms in the same
 order, so hot graphs skip the interpretation and cold ones the compile.
 The same compile gives the b map a walk step, the solve followed by its
-wall test, and the walk finds the next b map with a function generated
-once per N (_gap_b).
+wall test (that of _region_gaps at tol 0), and the walk finds the next b
+map with a function generated once per N (_gap_b).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import product
 from typing import Callable, Sequence
 
 from .combinatorics import (
@@ -164,10 +165,10 @@ def _kernel_source(plan: _Plan) -> str:
 def _step_source(b: tuple[int, ...]) -> str:
     """Python source of step(q, d, tol) -> (z, gaps, clear), the walk's
     step on the graph of b map b: z = solve(q, d), then the wall test of
-    _holds over DCGraph.walls, in its order, each gap as _holds sums it
-    (see _gap_source), stopping at the first wall on the wrong side.
-    gaps is None when the region does not hold, else the wall gaps, from
-    which the caller reads the exact-zero flags.
+    _region_gaps(g, z, 0) over DCGraph.walls, in its order, each gap as
+    _region_gaps sums it (see _gap_source), stopping at the first wall on
+    the wrong side.  gaps is None when the region does not hold, else the
+    wall gaps, from which the caller reads the exact-zero flags.
 
     clear is True, with gaps (), when tol is not None and the test holds
     clear: every z_i >= 0, every maximal gap > max(tol, 1e-12) * z1 and
@@ -375,12 +376,20 @@ def _region_gaps(g: DCGraph, z: Sequence[Number], tol: Number) -> tuple[bool, fr
 @dataclass(frozen=True)
 class RegionReport:
     graph: DCGraph
-    dyck: DyckPath
     z: tuple[Number, ...]
-    speed: Number
     verified: bool
     boundary_flags: frozenset[Edge] = field(default_factory=frozenset)
     ambiguous: bool = False
+
+    @property
+    def dyck(self) -> DyckPath:
+        """Dyck path of the region's graph."""
+        return dc_to_dyck(self.graph)
+
+    @property
+    def speed(self) -> Number:
+        """Front speed: the reciprocal of z_1."""
+        return 1 / self.z[0]
 
     @property
     def finite_time_absorption(self) -> bool:
@@ -395,15 +404,8 @@ def _report(params: Params, g: DCGraph, z: tuple, ok: bool, flags: frozenset[Edg
     float z outside the float range raises ValueError."""
     if not params.is_exact:
         float_solution(z)
-    return RegionReport(
-        graph=g,
-        dyck=dc_to_dyck(g),
-        z=z,
-        speed=1 / z[0],
-        verified=ok,
-        boundary_flags=flags,
-        ambiguous=not ok or (not params.is_exact and bool(flags)),
-    )
+    ambiguous = not ok or (not params.is_exact and bool(flags))
+    return RegionReport(graph=g, z=z, verified=ok, boundary_flags=flags, ambiguous=ambiguous)
 
 
 def find_region(params: Params, tol: Number = 0) -> tuple[DCGraph, frozenset[Edge]] | None:
@@ -436,11 +438,11 @@ def _gap_b(z: Sequence[Number], margin: Number) -> tuple[int, ...]:
 
 def _gap_source(i: int, j: int) -> str:
     """Source of the gap of pair (i, j) from the locals z1, z2, ...:
-    z1 - sum((z{i+1}, ..., z{j},)), one sum per pair, as _holds and
-    _region_gaps sum z[0] - sum(z[i:j]), so the bits are theirs on every
-    Python version.  A single term is subtracted as it is: sum((x,)) is
-    x but for -0.0, whose sum is +0.0, so the gap can differ only in the
-    sign of a zero, which no comparison sees."""
+    z1 - sum((z{i+1}, ..., z{j},)), one sum per pair, as _region_gaps
+    sums z[0] - sum(z[i:j]), so the bits are its own on every Python
+    version.  A single term is subtracted as it is: sum((x,)) is x but
+    for -0.0, whose sum is +0.0, so the gap can differ only in the sign
+    of a zero, which no comparison sees."""
     if j == i + 1:
         return f"z1 - z{j}"
     return f"z1 - sum(({''.join(f'z{m}, ' for m in range(i + 1, j + 1))}))"
@@ -475,21 +477,6 @@ def _gap_b_of_n(n: int) -> Callable:
     return gap_b
 
 
-def _holds(walls: Sequence[tuple[int, int, bool]], z: Sequence[Number]) -> frozenset[Edge] | None:
-    """_region_gaps(g, z, 0) in one pass: None unless every maximal gap
-    is > 0 and no addable gap is (stopping at the first wall on the
-    wrong side), else the flags, the walls whose gap is exactly 0."""
-    z1 = z[0]
-    flags = []
-    for (i, j, is_maximal) in walls:
-        gap = z1 - sum(z[i:j])
-        if (gap > 0) != is_maximal:
-            return None
-        if gap == 0:
-            flags.append((i, j))
-    return frozenset(flags)
-
-
 def _walk(
     params: Params, b: tuple[int, ...] | None = None, tol: Number | None = None
 ) -> tuple[DCGraph, tuple, frozenset[Edge] | None, bool]:
@@ -499,8 +486,9 @@ def _walk(
     current graph's system and move to the graph whose walls that
     solution lies inside.  Returns the first graph whose region holds the
     parameters, with its solution, the flags of its wall test (those of
-    _holds) and whether that test held clear at tol, or, once the walk
-    comes back to a b map, that graph and its solution with flags None.
+    _region_gaps at tol 0: the gaps that are exactly 0) and whether that
+    test held clear at tol, or, once the walk comes back to a b map, that
+    graph and its solution with flags None.
     Each step costs one closed-form solve, however slowly the fixed-point
     iteration would contract (it needs about q_N/q_1 steps).
 
@@ -510,8 +498,9 @@ def _walk(
     b map runs the solve and the wall tests as one call of its compiled
     step, which also tells whether the test holds clear at tol (see
     _step_source; a float walk passes its tol, an exact one None); a
-    cold one runs solve_system and _holds, and never reports clear.  The
-    next b map is one call of the compiled _gap_b of N.
+    cold one runs solve_system and _region_gaps at tol 0, and never
+    reports clear.  The next b map is one call of the compiled _gap_b of
+    N.
     """
     if b is None:
         b = (1, *range(1, params.n + 1))
@@ -524,20 +513,21 @@ def _walk(
         step = _plan_b(b).step
         if step is None:
             z = solve_system(g, params)
-            flags, clear = _holds(g.walls, z), False
+            ok, flags = _region_gaps(g, z, 0)
+            if ok:
+                return g, z, flags, False
         else:
             z, gaps, clear = step(q, d, tol)
-            flags = None if gaps is None else frozenset(w[:2] for w, x in zip(g.walls, gaps) if x == 0)
-        if flags is not None:
-            return g, z, flags, clear
+            if gaps is not None:
+                return g, z, frozenset(w[:2] for w, x in zip(g.walls, gaps) if x == 0), clear
         seen.add(b)
         b = _gap_b(z, 0)
 
 
-def _exact_walk(params: Params, b: tuple[int, ...]) -> tuple[DCGraph, tuple, frozenset[Edge]]:
+def _exact_walk(params: Params, b: tuple[int, ...] | None) -> tuple[DCGraph, tuple, frozenset[Edge]]:
     """The region of exact parameters, its solution and wall flags: the
-    walk from b map b, or find_region should the walk come back to a b
-    map (no termination proof is known for the walk)."""
+    walk from b map b (None: the empty graph), or find_region should the
+    walk come back to a b map (no termination proof is known for it)."""
     g, z, flags, _ = _walk(params, b)
     if flags is None:
         g, flags = find_region(params)
@@ -557,8 +547,10 @@ def classify(params: Params, tol: Number = 1e-9) -> RegionReport:
 
     A walk in floating point proposes the graph whose walls its last
     solution lies inside by more than max(tol, 1e-12) * z_1.  Rational
-    parameters are walked on exactly from the proposal: the report is the
-    graph where the exact wall test holds, verified with zero tolerance.
+    parameters are walked on exactly from the proposal, or from the empty
+    graph when they have no float image (a value beyond the float range,
+    or thresholds that round to equal floats): the report is the graph
+    where the exact wall test holds, verified with zero tolerance.
     A float report is the proposal when that verifies at tol (reusing the
     walk's solution when the walk ended on it); otherwise it names the
     region of the input's exact binary value, with that graph's float
@@ -573,7 +565,12 @@ def classify(params: Params, tol: Number = 1e-9) -> RegionReport:
     """
     _check_tol(tol)
     exact = params.is_exact
-    g, z, _, clear = _walk(params.as_float() if exact else params, tol=tol)
+    try:
+        image = params.as_float() if exact else params
+    except (OverflowError, ParamsError):  # exact values with no float image
+        g, z, flags = _exact_walk(params, None)
+        return _report(params, g, z, True, flags)
+    g, z, _, clear = _walk(image, tol=tol)
     proposal = g.b if clear else _gap_b(z, max(tol, 1e-12) * z[0])
     if exact:
         g, z, flags = _exact_walk(params, proposal)
@@ -713,11 +710,6 @@ def sweep(
     before any point is classified."""
     grid.validate()
     _check_tol(tol)
-    envs: list[dict[str, Number]] = []
-    if len(grid.axes) == 1:
-        name, values = grid.axes[0]
-        envs = [{name: v} for v in values]
-    else:
-        (n0, vs0), (n1, vs1) = grid.axes
-        envs = [{n0: v0, n1: v1} for v0 in vs0 for v1 in vs1]
+    names = [name for name, _ in grid.axes]
+    envs = [dict(zip(names, point)) for point in product(*(values for _, values in grid.axes))]
     return parallel_map(partial(_sweep_point, grid, exact, tol), envs, jobs)

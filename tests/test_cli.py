@@ -13,8 +13,9 @@ import pytest
 import liquidbin
 from liquidbin.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_WALL, run
 from liquidbin.combinatorics import dc_to_dyck, enumerate_dc, is_antichain
-from liquidbin.cyclic import sample_params
-from liquidbin.regions import classify
+from liquidbin.cyclic import jump_order, sample_params
+from liquidbin.params import Params
+from liquidbin.regions import classify, find_region, solve_system
 from liquidbin.stationary import StationaryProfile
 
 
@@ -133,6 +134,52 @@ def test_float_results_beyond_the_float_range_exit_2(capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--exact")
     assert code == EXIT_OK
     strict_json(out)
+
+
+# exact values with no float image: thresholds equal as floats, a value
+# that underflows to 0.0 or one that overflows
+NO_FLOAT_IMAGE = [("1,1.00000000000000000001", "1,1"), ("1e-400,1", "1,1"), ("1e400,2e400", "1,1")]
+
+
+@pytest.mark.parametrize("a, p", NO_FLOAT_IMAGE)
+def test_exact_commands_need_no_float_image(capsys, a, p):
+    params = Params.parse(a.split(","), p.split(","), exact=True)
+    g = find_region(params)[0]
+    code, out, err = run_cli(capsys, "classify", "--exact", "--a", a, "--p", p)
+    assert (code, err) == (EXIT_OK, "")
+    report = json.loads(out)
+    assert report["verified"] and report["graph_id"] == enumerate_dc(params.n).index(g)
+    code, out, err = run_cli(capsys, "speed", "--exact", "--a", a, "--p", p)
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["z"] == [str(x) for x in solve_system(g, params)]
+
+
+def test_exact_cyclic_needs_no_float_image(capsys):
+    # the region of (1, 1 + 10^-20) is connected; that of (10^-400, 1) is not
+    a, p = NO_FLOAT_IMAGE[0]
+    code, out, err = run_cli(capsys, "cyclic", "--exact", "--a", a, "--p", p)
+    assert (code, err) == (EXIT_OK, "")
+    params = Params.parse(a.split(","), p.split(","), exact=True)
+    assert json.loads(out)["order"] == list(jump_order(params).order)
+
+
+def test_exact_sweep_point_with_no_float_image(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--exact", "--fixed", "a2=1e400,p1=1,p2=1", "--vary", "a1=1:2:1")
+    assert (code, err) == (EXIT_OK, "")
+    rows = list(csv.DictReader(out.splitlines()))
+    for row in rows:
+        params = Params((F(row["a1"]), F(10) ** 400), (F(1), F(1)))
+        g = find_region(params)[0]
+        assert row["graph_id"] == str(enumerate_dc(2).index(g)) and row["error"] == ""
+    assert [r["speed"] for r in rows] == ["1", "1/2"]
+
+
+def test_ibm_exact_speed_beyond_the_float_range_exits_2(capsys):
+    # the exact speed 1/z_1 is about 10^400: no float liquid speed to compare
+    code, out, err = run_cli(capsys, "ibm", "--exact", "--a", "1e-400,1", "--p", "1,1", "--s", "1e400",
+                             "--steps", "10")
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err.startswith("error:") and "float range" in err and "Traceback" not in err
 
 
 def test_sweep_point_beyond_the_float_range_is_an_error_row(capsys):
@@ -330,6 +377,32 @@ def test_simulate_roundtrip(tmp_path, capsys):
     assert [r["kind"] for r in rows] == ["cursor-jump", "cursor-jump"]
     assert [r["time"] for r in rows] == ["1/4", "3/4"]
     assert [r["index"] for r in rows] == ["1", "2"]
+
+
+def test_simulate_trace_is_written_as_it_is_formatted(tmp_path, capsys):
+    # the 13,932 events of the N = 5 run to t = 12,800 stay in memory as
+    # the event log, but their CSV rows are written as they are formatted,
+    # never held as a second list beside it
+    params_file = tmp_path / "sim5.json"
+    params_file.write_text(json.dumps({
+        "a": [0.9, 2.1, 3.05, 4.2, 5.0], "p": [0.13, 0.11, 0.17, 0.09, 0.14],
+        "bins": {"front": 6, "volumes": [0.5, 0.8, 0.3, 0.9, 0.6, 0.7, 0.4, 0.55, 0.95]}}))
+    argv = ["simulate", "--params", str(params_file), "--t", "12800"]
+    run_cli(capsys, *argv[:-1], "1")  # compiles the bin loop of N = 5 untraced
+
+    def peak(*extra):
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, *argv, *extra)
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    code, plain = peak()
+    assert code == EXIT_OK
+    code, traced = peak("--trace", str(tmp_path / "trace.csv"))
+    assert code == EXIT_OK and traced <= 1.1 * plain, (plain, traced)
+    assert len((tmp_path / "trace.csv").read_text().splitlines()) == 13932 + 1
 
 
 def test_sweep_csv(tmp_path, capsys):

@@ -363,7 +363,10 @@ def test_car_speeds_never_decrease():
                 seen[cid] = max(seen.get(cid, 0), rank)
             ref.run(nxt[0])
             sim.run(nxt[0])
-            assert (sim.pos, sim.ids, sim.t) == (ref.pos, ref.ids, ref.t)
+            # the fused loop keeps no id list: its ids are the contiguous
+            # range that ends below _next_id
+            ids = list(range(sim._next_id - len(sim.pos), sim._next_id))
+            assert (sim.pos, ids, sim.t) == (ref.pos, ref.ids, ref.t)
             remaining -= nxt[0]
         assert sim.crossings == ref.crossings
 

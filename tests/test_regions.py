@@ -3,7 +3,7 @@ import math
 import random
 import time
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 from math import prod
 
@@ -38,6 +38,7 @@ from liquidbin.combinatorics import (
 from liquidbin.cyclic import sample_params
 from liquidbin.params import Params, ParamsError
 from liquidbin.regions import (
+    RegionReport,
     SweepGrid,
     big_gamma,
     boundary_gap,
@@ -236,6 +237,44 @@ def test_classify_fig1():
     for n in range(1, 8):
         for g in enumerate_dc(n):
             assert replace(report, graph=g).finite_time_absorption == (g == DCGraph.complete(n))
+
+
+def _interior_point(g):
+    """Exact unit-rate parameters inside the region of g, and their z,
+    with z_1 = 1.  The breakpoint times are S_k = 1 + x_k, where x_1 = 0
+    and x_j - x_i < 1 exactly when j <= b(i): the i < k with b(i) < k are
+    a prefix 1..m, so x_k must lie in (max(x_m + 1, x_{k-1}), x_{m+1} + 1),
+    and is taken at its midpoint (at x_m + 3/2 when m = k - 1).  The
+    stationarity relations a_i = sum_j (S_i - S_j + S_1)_+ give the
+    thresholds, as in tied_phase_thresholds."""
+    b = g.b
+    x = [F(0)]
+    for k in range(2, g.n + 1):
+        m = sum(b[i] < k for i in range(1, k))
+        low = max(x[m - 1] + 1, x[-1]) if m else x[-1]
+        high = x[m] + 1 if m < k - 1 else low + 1
+        x.append((low + high) / 2)
+    s = [1 + xi for xi in x]
+    a = tuple(sum(max(si - sj + s[0], 0) for sj in s) for si in s)
+    return Params(a, (F(1),) * g.n), (F(1), *(x[k] - x[k - 1] for k in range(1, g.n)))
+
+
+def test_report_stores_five_fields_and_derives_dyck_and_speed_on_every_graph_to_n6():
+    # classify lands on every graph at N <= 6 from a point inside its
+    # region, exactly and in float; the report stores graph, z, verified,
+    # boundary_flags and ambiguous, and reads dyck and speed off them
+    assert [f.name for f in fields(RegionReport)] == ["graph", "z", "verified", "boundary_flags", "ambiguous"]
+    for n in range(1, 7):
+        for g in enumerate_dc(n):
+            params, z = _interior_point(g)
+            for point in (params, params.as_float()):
+                report = classify(point)
+                assert (report.graph, report.verified, report.boundary_flags, report.ambiguous) == (
+                    g, True, frozenset(), False)
+                assert report.dyck == dc_to_dyck(g) and dyck_to_dc(report.dyck) == g
+                assert repr(report.speed) == repr(1 / report.z[0])
+            assert classify(params).z == z and classify(params).speed == 1
+            assert math.isclose(classify(params.as_float()).speed, 1, rel_tol=1e-12)
 
 
 def test_classify_wall_point():
@@ -965,9 +1004,12 @@ def test_gap_b_compiles_at_n60_within_a_second():
 
 
 def _wall_step_reference(g, z, tol):
-    """(flags, clear) of the compiled step, from _holds and the clear rule
-    written out on the walls."""
-    flags = regions._holds(g.walls, z)
+    """(flags, clear) of the compiled step, from _region_gaps at tol 0
+    (flags None where it fails) and the clear rule written out on the
+    walls."""
+    ok, flags = regions._region_gaps(g, z, 0)
+    if not ok:
+        flags = None
     if flags is None or tol is None:
         return flags, False
     z1 = z[0]
@@ -980,9 +1022,10 @@ def _wall_step_reference(g, z, tol):
 def test_compiled_step_matches_the_wall_tests_on_every_graph_to_n8():
     """The step of every graph at N <= 8, on points in its region and on
     others, float (at three tolerances) and exact (wall points too): z as
-    the solve gives it, the verdict and flags of _holds, clear exactly
-    where the rule holds, and where it does, the b map of _gap_b at the
-    proposal margin is the graph's and _region_gaps verifies unflagged."""
+    the solve gives it, the verdict and flags of _region_gaps at tol 0,
+    clear exactly where the rule holds, and where it does, the b map of
+    _gap_b at the proposal margin is the graph's and _region_gaps
+    verifies unflagged."""
     rng = random.Random(23)
     np_rng = np.random.default_rng(23)
     statuses = {"out": 0, "holds": 0, "flagged": 0, "clear": 0}
