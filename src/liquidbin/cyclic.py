@@ -19,7 +19,7 @@ import numpy as np
 
 from .combinatorics import DCGraph, b_to_dc, connected_component_of_one
 from .params import Number, Params
-from .regions import classify, solve_system
+from .regions import _check_tol, _walk, classify, float_solution, solve_system
 
 
 class DisconnectedRegionError(ValueError):
@@ -62,21 +62,25 @@ class CyclicOrder:
         return 0 < dy < dz
 
     def is_chain(self, entries: Sequence[int]) -> bool:
-        """(i_1, ..., i_m) appears in clockwise order (vacuous for m <= 2):
-        contains(i_1, i_k, i_{k+1}) for every k, that is, the clockwise
-        offsets of i_2, ..., i_m from i_1 are positive and increasing.
-        Each entry is looked up once, and the test stops at the first
-        offset out of order."""
-        if len(entries) <= 2:
-            return True
-        order = self.order
-        n, start, prev = len(order), order.index(entries[0]), 0
-        for v in entries[1:]:
-            offset = (order.index(v) - start) % n
-            if offset <= prev:
-                return False
-            prev = offset
+        """(i_1, ..., i_m) appears in clockwise order (see _is_chain)."""
+        return _is_chain(self.order, entries)
+
+
+def _is_chain(order: tuple[int, ...], entries: Sequence[int]) -> bool:
+    """(i_1, ..., i_m) appears in clockwise order in the cyclic order
+    read off the tuple order (vacuous for m <= 2): contains(i_1, i_k,
+    i_{k+1}) for every k, that is, the clockwise offsets of i_2, ..., i_m
+    from i_1 are positive and increasing.  Each entry is looked up once,
+    and the test stops at the first offset out of order."""
+    if len(entries) <= 2:
         return True
+    n, start, prev = len(order), order.index(entries[0]), 0
+    for v in entries[1:]:
+        offset = (order.index(v) - start) % n
+        if offset <= prev:
+            return False
+        prev = offset
+    return True
 
 
 @dataclass(frozen=True)
@@ -170,18 +174,20 @@ def circular_extensions(g: DCGraph) -> tuple[CyclicOrder, ...]:
     position, and a placement is kept only if it satisfies every chain
     whose largest entry is v.  A later insertion never changes the
     relative cyclic order of cursors already placed, so each chain is
-    tested once, when its last entry lands.  The tests check the result
-    against the fiber of f_map over all (N-1)! orders.
+    tested once, when its last entry lands.  The placements grow as plain
+    tuples that start at 1; only the survivors become CyclicOrders.  The
+    tests check the result against the fiber of f_map over all (N-1)!
+    orders.
     """
     _require_connected(g)
     check_extension_cap(g.n)
     chains = [c.entries for c in zprime_chains(g)]
-    exts = [CyclicOrder((1,))]
+    exts = [(1,)]
     for v in range(2, g.n + 1):
         closing = [c for c in chains if max(c) == v]
-        grown = (CyclicOrder(z.order[:k] + (v,) + z.order[k:]) for z in exts for k in range(1, v))
-        exts = [z for z in grown if all(z.is_chain(c) for c in closing)]
-    return tuple(sorted(exts, key=lambda z: z.order))
+        grown = (z[:k] + (v,) + z[k:] for z in exts for k in range(1, v))
+        exts = [z for z in grown if all(_is_chain(z, c) for c in closing)]
+    return tuple(map(CyclicOrder, sorted(exts)))
 
 
 def _phases(z: tuple[Number, ...]) -> list[Number]:
@@ -280,9 +286,10 @@ class ProbeReport:
 _SAMPLE_CHUNK = 64  # the probe draws its samples in batches of at most this many
 
 
-def _draw(rng: np.random.Generator, n: int, count: int) -> tuple[list, list]:
+def _draw(rng: np.random.Generator, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Thresholds and rates of `count` consecutive samples of the law of
-    `sample_params`, drawn at once: one list of n floats per sample each.
+    `sample_params`, drawn at once: two (count, n) arrays, one row per
+    sample.
 
     Row k of the (count, 2, n) draw holds sample k's log-gaps, then its
     log-rates, so the generator's doubles go where `count` calls of
@@ -290,24 +297,49 @@ def _draw(rng: np.random.Generator, n: int, count: int) -> tuple[list, list]:
     cumsum along each row give every value the bits it gets there.
     """
     x = 10.0 ** rng.uniform(-2.0, 2.0, size=(count, 2, n))
-    return np.cumsum(x[:, 0], axis=1).tolist(), x[:, 1].tolist()
+    return np.cumsum(x[:, 0], axis=1), x[:, 1]
 
 
 def sample_params(rng: np.random.Generator, n: int) -> Params:
     """The probe's sampling law: gaps and rates log-uniform over
     [1e-2, 1e2], n gaps then n rates from the generator per sample."""
-    (a,), (p,) = _draw(rng, n, 1)
-    return Params(tuple(a), tuple(p))
+    a, p = _draw(rng, n, 1)
+    return Params(a[0].tolist(), p[0].tolist())
 
 
-def _probe_stream(rng: np.random.Generator, n: int, budget: int) -> Iterator[Params]:
-    """The samples of `budget` consecutive `sample_params` calls, drawn
-    in chunks of at most _SAMPLE_CHUNK, so no allocation grows with the
-    budget; each Params is built only when the probe asks for it."""
+def _probe_stream(rng: np.random.Generator, n: int, budget: int) -> Iterator[tuple]:
+    """The samples of `budget` consecutive `sample_params` calls as rows
+    (a, p, q, d): thresholds and rates as lists, and the tuples q and d
+    of Params(a, p), built without a Params.
+
+    The samples are drawn in chunks of at most _SAMPLE_CHUNK, so no
+    allocation grows with the budget.  Each chunk's d (the row
+    differences after a 0) and q (the running sum of the rates after a
+    0) are elementwise operations and sequential sums, as in Params, so
+    every value keeps the bits Params gives it.  The chunk is validated
+    at once by the rule of Params' all-float fast path; a chunk that
+    fails it builds Params(a, p) one sample at a time, as its rows are
+    asked for, so the probe meets the ParamsError of the first invalid
+    sample where it would have met it building a Params per sample.
+    """
     for start in range(0, budget, _SAMPLE_CHUNK):
         a, p = _draw(rng, n, min(_SAMPLE_CHUNK, budget - start))
-        for ak, pk in zip(a, p):
-            yield Params(tuple(ak), tuple(pk))
+        with np.errstate(over="ignore", invalid="ignore"):  # a failing chunk is reported by Params
+            d = np.diff(a, axis=1, prepend=0.0)
+            q = np.cumsum(np.concatenate((np.zeros((len(p), 1)), p), axis=1), axis=1)
+        if (
+            np.isfinite(a).all()
+            and np.isfinite(p).all()
+            and (a[:, 0] > 0).all()
+            and (a[:, 1:] > a[:, :-1]).all()
+            and (p > 0).all()
+            and np.isfinite(q[:, -1]).all()
+        ):
+            yield from zip(a.tolist(), p.tolist(), map(tuple, q.tolist()), map(tuple, d.tolist()))
+        else:
+            for ak, pk in zip(a.tolist(), p.tolist()):
+                params = Params(ak, pk)
+                yield ak, pk, params.q, params.d
 
 
 def conjecture_probe(g: DCGraph, budget: int, seed: int, tol: Number = 1e-9) -> ProbeReport:
@@ -318,26 +350,40 @@ def conjecture_probe(g: DCGraph, budget: int, seed: int, tol: Number = 1e-9) -> 
     numpy's default generator seeded with `seed`; they are drawn a chunk
     at a time, which moves no sample.  Stops early once every extension
     is realized.  Unrealized extensions are reported as not found within
-    the budget, never as refutations.
+    the budget, never as refutations.  tol must be finite and >= 0, as in
+    classify (ValueError otherwise, whatever the budget).
+
+    Each sample is located with the report classify gives it, built from
+    its (q, d) row (see _probe_stream): when the float walk ends clear of
+    every wall, that report is the walk's graph and solution, verified
+    without flags, once the solution passes float_solution as it does in
+    classify; otherwise the sample goes through classify.  A Params is
+    built only for those samples and for the hits, which jump_order reads.
     """
     _require_connected(g)
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
+    _check_tol(tol)
     extensions = circular_extensions(g)
     counts: dict[CyclicOrder, int] = {z: 0 for z in extensions}
     rng = np.random.default_rng(seed)
     hits = skipped = used = 0
     remaining = set(extensions)
-    for used, params in enumerate(_probe_stream(rng, g.n, budget), 1):
-        report = classify(params, tol=tol)
-        if report.ambiguous:
-            skipped += 1  # within tolerance of a wall: never guess
-            continue
-        if report.graph != g:
+    for used, (a, p, q, d) in enumerate(_probe_stream(rng, g.n, budget), 1):
+        graph, z, _, clear = _walk(q, d, tol=tol)
+        if clear:
+            float_solution(z)  # the range check of classify's report
+        else:
+            report = classify(Params(a, p), tol=tol)
+            if report.ambiguous:
+                skipped += 1  # within tolerance of a wall: never guess
+                continue
+            graph, z = report.graph, report.z
+        if graph != g:
             continue
         hits += 1
         try:
-            order = jump_order(params, tol=tol, graph=g, z=report.z)
+            order = jump_order(Params(a, p), tol=tol, graph=g, z=z)
         except WallTieError:
             skipped += 1
             continue

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._parallel import parallel_map, spawn_seeds
 from .params import Number, Params
-from .regions import classify, float_solution
+from .regions import classify
 
 RNG_NAME = "numpy-pcg64"
 _BURN_CHUNK = 4096  # the burn-in is drawn in batches of at least this many moves
@@ -267,7 +267,9 @@ def hydrolimit_check(
     try:
         liquid = float(classify(norm).speed)
     except OverflowError:  # an exact speed beyond the float range
-        float_solution((math.inf,))  # raises the float-range ValueError
+        raise ValueError("the liquid speed at normalized rates does not fit the float range "
+                         "(|x| < 1.8e308), and the comparison with the chain runs needs it "
+                         "as a float") from None
     s_values = list(s_values)
     dists = [mu_s(params, s) for s in s_values]
     for dist in dists:  # refuse an overlong burn-in before any chain runs

@@ -260,6 +260,13 @@ def solve_system(g: DCGraph, params: Params) -> tuple[Number, ...]:
     q, d = params.q, params.d
     if len(q) != len(plan.b):
         raise ValueError(f"graph on {g.n} vertices, parameters for N = {params.n}")
+    return _solve(plan, q, d)
+
+
+def _solve(plan: _Plan, q: Sequence[Number], d: Sequence[Number]) -> tuple[Number, ...]:
+    """The plan's solve for rates q and gaps d of its N: interpreted for
+    its first _COMPILE_AFTER calls, then compiled (with the walk step)
+    and run as its kernel."""
     kernel = plan.kernel
     if kernel is None:
         if plan.solves < _COMPILE_AFTER:
@@ -478,9 +485,11 @@ def _gap_b_of_n(n: int) -> Callable:
 
 
 def _walk(
-    params: Params, b: tuple[int, ...] | None = None, tol: Number | None = None
+    q: Sequence[Number], d: Sequence[Number], b: tuple[int, ...] | None = None, tol: Number | None = None
 ) -> tuple[DCGraph, tuple, frozenset[Edge] | None, bool]:
-    """Newton's method on the piecewise-linear stationarity equations.
+    """Newton's method on the piecewise-linear stationarity equations, for
+    the point with cumulative rates q and gaps d (those of Params, or
+    values with the same bits: no Params is needed).
 
     From the graph of b map b (the empty graph by default), solve the
     current graph's system and move to the graph whose walls that
@@ -494,31 +503,32 @@ def _walk(
 
     The walk runs on b maps, which fix the graphs: a step costs one
     solve, O(N) wall tests and at most O(N^2) pair sums (see _gap_b),
-    and its graph and plan come from caches keyed by the b map.  A hot
-    b map runs the solve and the wall tests as one call of its compiled
-    step, which also tells whether the test holds clear at tol (see
-    _step_source; a float walk passes its tol, an exact one None); a
-    cold one runs solve_system and _region_gaps at tol 0, and never
+    and its plan comes from a cache keyed by the b map.  A hot b map runs
+    the solve and the wall tests as one call of its compiled step, which
+    also tells whether the test holds clear at tol (see _step_source; a
+    float walk passes its tol, an exact one None); a cold one runs
+    _solve, as solve_system does, and _region_gaps at tol 0, and never
     reports clear.  The next b map is one call of the compiled _gap_b of
     N.
     """
     if b is None:
-        b = (1, *range(1, params.n + 1))
-    q, d = params.q, params.d
+        b = (1, *range(1, len(d) + 1))
     seen = set()
     while True:
-        g = _cached_graph_of_b(b)
+        plan = _plan_b(b)
         if b in seen:
-            return g, solve_system(g, params), None, False
-        step = _plan_b(b).step
+            return _cached_graph_of_b(b), _solve(plan, q, d), None, False
+        step = plan.step
         if step is None:
-            z = solve_system(g, params)
+            g = _cached_graph_of_b(b)
+            z = _solve(plan, q, d)
             ok, flags = _region_gaps(g, z, 0)
             if ok:
                 return g, z, flags, False
         else:
             z, gaps, clear = step(q, d, tol)
             if gaps is not None:
+                g = _cached_graph_of_b(b)
                 return g, z, frozenset(w[:2] for w, x in zip(g.walls, gaps) if x == 0), clear
         seen.add(b)
         b = _gap_b(z, 0)
@@ -528,7 +538,7 @@ def _exact_walk(params: Params, b: tuple[int, ...] | None) -> tuple[DCGraph, tup
     """The region of exact parameters, its solution and wall flags: the
     walk from b map b (None: the empty graph), or find_region should the
     walk come back to a b map (no termination proof is known for it)."""
-    g, z, flags, _ = _walk(params, b)
+    g, z, flags, _ = _walk(params.q, params.d, b)
     if flags is None:
         g, flags = find_region(params)
         z = solve_system(g, params)
@@ -562,6 +572,10 @@ def classify(params: Params, tol: Number = 1e-9) -> RegionReport:
     When the float walk ends clear of every wall (see _walk), the
     proposal is the walk's graph and, for float input, the report is that
     graph verified without flags, with no further pair sum or wall test.
+    cyclic.conjecture_probe reads that report straight off the walk of
+    its sample's (q, d) row, and calls classify only where the walk does
+    not end clear; the tests hold it to a probe that classifies every
+    sample.
     """
     _check_tol(tol)
     exact = params.is_exact
@@ -570,7 +584,7 @@ def classify(params: Params, tol: Number = 1e-9) -> RegionReport:
     except (OverflowError, ParamsError):  # exact values with no float image
         g, z, flags = _exact_walk(params, None)
         return _report(params, g, z, True, flags)
-    g, z, _, clear = _walk(image, tol=tol)
+    g, z, _, clear = _walk(image.q, image.d, tol=tol)
     proposal = g.b if clear else _gap_b(z, max(tol, 1e-12) * z[0])
     if exact:
         g, z, flags = _exact_walk(params, proposal)

@@ -180,6 +180,8 @@ def test_ibm_exact_speed_beyond_the_float_range_exits_2(capsys):
                              "--steps", "10")
     assert code == EXIT_BAD_INPUT
     assert out == "" and err.startswith("error:") and "float range" in err and "Traceback" not in err
+    # the run is already exact: the error names the float liquid speed, not a flag
+    assert "liquid speed" in err and "--exact" not in err
 
 
 def test_sweep_point_beyond_the_float_range_is_an_error_row(capsys):

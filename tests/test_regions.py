@@ -581,7 +581,8 @@ def _decimal_near_wall(rng: random.Random, n: int) -> Params:
 
 def _proposal(params: Params) -> DCGraph:
     # the graph classify tries first at tol 0
-    z = regions._walk(params.as_float())[1]
+    image = params.as_float()
+    z = regions._walk(image.q, image.d)[1]
     return b_to_dc(regions._gap_b(z, 1e-12 * z[0]))
 
 
@@ -700,7 +701,7 @@ def test_classify_z_is_the_reported_graphs_solution_near_walls():
         params = Params(tuple(a),
                         tuple(float(rng.randint(1, 3)) for _ in range(n)))
         report = classify(params)
-        elsewhere += regions._walk(params)[0] != report.graph
+        elsewhere += regions._walk(params.q, params.d)[0] != report.graph
         assert report.z == solve_system(report.graph, params)
     assert elsewhere
 
@@ -960,7 +961,8 @@ def test_gap_edges_closure_matches_the_sub_pair_filter():
              else rng.uniform(-1, 2) for _ in range(n)]
         cases.append((z, rng.choice([0, 0.0, -0.0, 0.1, 0.5, 1.0])))
     for params in _float_and_exact_points(rng, 8, 20):
-        cases.append((regions._walk(params.as_float())[1], 0))
+        image = params.as_float()
+        cases.append((regions._walk(image.q, image.d)[1], 0))
     removed = nan = 0
     for z, margin in cases:
         n = len(z)
@@ -1072,11 +1074,12 @@ def test_classify_shortcut_gives_the_report_of_the_full_check(cold_plans, monkey
     tols = (0, 1e-9, 1e-2)
     monkeypatch.setattr(regions, "_COMPILE_AFTER", math.inf)
     checked = [repr(classify(p, tol=tol)) for tol in tols for p in points]
-    assert not any(regions._walk(p.as_float(), tol=1e-9)[3] for p in points)
+    images = [p.as_float() for p in points]
+    assert not any(regions._walk(p.q, p.d, tol=1e-9)[3] for p in images)
     monkeypatch.setattr(regions, "_COMPILE_AFTER", 0)
     assert [repr(classify(p, tol=tol)) for tol in tols for p in points] == checked
     for tol in tols:
-        assert sum(regions._walk(p.as_float(), tol=tol)[3] for p in points) > len(points) // 2
+        assert sum(regions._walk(p.q, p.d, tol=tol)[3] for p in images) > len(points) // 2
 
 
 def test_walk_on_b_maps_matches_the_graph_walk():
@@ -1096,7 +1099,7 @@ def test_walk_on_b_maps_matches_the_graph_walk():
         for _ in range(10):
             points.append(Params(tied_phase_thresholds(wall_rng, n), (1,) * n).as_float())
     for params in points:
-        g, z, *_ = regions._walk(params)
+        g, z, *_ = regions._walk(params.q, params.d)
         g_ref, z_ref = reference_walk(params)
         assert g == g_ref and repr(z) == repr(z_ref), params
         # edges put in sorted, so the graph prints as dyck_to_dc's does
