@@ -19,7 +19,7 @@ import numpy as np
 
 from .combinatorics import DCGraph, b_to_dc, connected_component_of_one
 from .params import Number, Params
-from .regions import _check_tol, _walk, classify, float_solution, solve_system
+from .regions import _check_tol, _settle, _walk, classify, float_solution, solve_system
 
 
 class DisconnectedRegionError(ValueError):
@@ -353,12 +353,12 @@ def conjecture_probe(g: DCGraph, budget: int, seed: int, tol: Number = 1e-9) -> 
     the budget, never as refutations.  tol must be finite and >= 0, as in
     classify (ValueError otherwise, whatever the budget).
 
-    Each sample is located with the report classify gives it, built from
-    its (q, d) row (see _probe_stream): when the float walk ends clear of
-    every wall, that report is the walk's graph and solution, verified
-    without flags, once the solution passes float_solution as it does in
-    classify; otherwise the sample goes through classify.  A Params is
-    built only for those samples and for the hits, which jump_order reads.
+    Each sample is located with the report classify gives it, from one
+    float walk of its (q, d) row (see _probe_stream): a walk that ends
+    clear of every wall gives its graph and solution, verified without
+    flags, once the solution passes float_solution as in classify; any
+    other walk goes on to classify's _settle.  A Params is built only for
+    those samples and for the hits, which jump_order reads.
     """
     _require_connected(g)
     if budget < 0:
@@ -374,7 +374,7 @@ def conjecture_probe(g: DCGraph, budget: int, seed: int, tol: Number = 1e-9) -> 
         if clear:
             float_solution(z)  # the range check of classify's report
         else:
-            report = classify(Params(a, p), tol=tol)
+            report = _settle(Params(a, p), tol, graph, z, False)
             if report.ambiguous:
                 skipped += 1  # within tolerance of a wall: never guess
                 continue

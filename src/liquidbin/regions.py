@@ -17,7 +17,7 @@ a straight-line Python function that computes the same terms in the same
 order, so hot graphs skip the interpretation and cold ones the compile.
 The same compile gives the b map a walk step, the solve followed by its
 wall test (that of _region_gaps at tol 0), and the walk finds the next b
-map with a function generated once per N (_gap_b).
+map with a function generated once per N (_gap_b_of_n).
 """
 from __future__ import annotations
 
@@ -173,14 +173,14 @@ def _step_source(b: tuple[int, ...]) -> str:
     clear is True, with gaps (), when tol is not None and the test holds
     clear: every z_i >= 0, every maximal gap > max(tol, 1e-12) * z1 and
     every addable gap < -tol * z1.  Then _region_gaps(g, z, tol) verifies
-    without flags, and _gap_b(z, max(tol, 1e-12) * z1) is b: an addable
-    pair fails the margin, and a sub-pair of a maximal edge sums a part
-    of its nonnegative terms, so its gap is no smaller.  (A float sum of
-    nonnegative terms does not grow when terms are left out: so it is for
-    the left-to-right sum of Python <= 3.11, and, but for a last-bit
-    rounding, for the compensated sum of 3.12+; the tests check the
-    claim.)  Only a float walk passes a tol: an exact one never computes
-    the float margin."""
+    without flags, and _gap_b_of_n(N)(z, max(tol, 1e-12) * z1) is b: an
+    addable pair fails the margin, and a sub-pair of a maximal edge sums
+    a part of its nonnegative terms, so its gap is no smaller.  (A float
+    sum of nonnegative terms does not grow when terms are left out: so it
+    is for the left-to-right sum of Python <= 3.11, and, but for a
+    last-bit rounding, for the compensated sum of 3.12+; the tests check
+    the claim.)  Only a float walk passes a tol: an exact one never
+    computes the float margin."""
     n = len(b) - 1
     walls = _cached_graph_of_b(b).walls
     zs = ", ".join(f"z{k}" for k in range(1, n + 1))
@@ -428,21 +428,6 @@ def find_region(params: Params, tol: Number = 0) -> tuple[DCGraph, frozenset[Edg
     return None
 
 
-def _gap_b(z: Sequence[Number], margin: Number) -> tuple[int, ...]:
-    """b map of the largest downward-closed set of pairs (i, j) with
-    z_1 - (z_{i+1} + ... + z_j) > margin: all pairs when z > 0.
-
-    A pair is in that set when it is above the margin and its immediate
-    children (i+1, j) and (i, j-1) are (every sub-pair is reached from it
-    by such steps), so row i is the run of pairs above the margin from
-    (i, i+1) up to at most b(i+1).  Going down i, only those pairs are
-    summed: at most O(N^2) gaps, each z[0] - sum(z[i:j]) as the wall
-    tests sum it.  The work is done by the function of N = len(z) that
-    _gap_b_source writes (compiled once per N).
-    """
-    return _gap_b_of_n(len(z))(z, margin)
-
-
 def _gap_source(i: int, j: int) -> str:
     """Source of the gap of pair (i, j) from the locals z1, z2, ...:
     z1 - sum((z{i+1}, ..., z{j},)), one sum per pair, as _region_gaps
@@ -479,7 +464,14 @@ def _gap_b_source(n: int) -> str:
 
 @lru_cache(maxsize=64)
 def _gap_b_of_n(n: int) -> Callable:
-    """_gap_b at N = n: _gap_b_source compiled once."""
+    """gap_b(z, margin) for z of length n, _gap_b_source compiled once:
+    the b map of the largest downward-closed set of pairs (i, j) with
+    z_1 - (z_{i+1} + ... + z_j) > margin (all pairs when z > 0).  A pair
+    is in that set when it is above the margin and its immediate children
+    (i+1, j) and (i, j-1) are (every sub-pair is reached from it by such
+    steps), so row i is the run of pairs above the margin from (i, i+1)
+    up to at most b(i+1).  Going down i, only those pairs are summed: at
+    most O(N^2) gaps, each z[0] - sum(z[i:j]) as the wall tests sum it."""
     gap_b, = compile_functions(_gap_b_source(n), f"<next b map, N = {n}>", "gap_b")
     return gap_b
 
@@ -499,25 +491,27 @@ def _walk(
     test held clear at tol, or, once the walk comes back to a b map, that
     graph and its solution with flags None.
     Each step costs one closed-form solve, however slowly the fixed-point
-    iteration would contract (it needs about q_N/q_1 steps).
+    iteration would contract (it needs about q_N/q_1 steps).  Exact walks
+    from random start graphs at N = 2..12 never came back to a b map, but
+    no proof rules it out: z_1 is no potential, since from some starts it
+    rises after the first step (the tests pin one).  So the seen set stays.
 
     The walk runs on b maps, which fix the graphs: a step costs one
-    solve, O(N) wall tests and at most O(N^2) pair sums (see _gap_b),
-    and its plan comes from a cache keyed by the b map.  A hot b map runs
-    the solve and the wall tests as one call of its compiled step, which
-    also tells whether the test holds clear at tol (see _step_source; a
-    float walk passes its tol, an exact one None); a cold one runs
-    _solve, as solve_system does, and _region_gaps at tol 0, and never
-    reports clear.  The next b map is one call of the compiled _gap_b of
-    N.
+    solve, O(N) wall tests and at most O(N^2) pair sums, and its plan
+    comes from a cache keyed by the b map.  A hot b map runs the solve
+    and the wall tests as one call of its compiled step, which also tells
+    whether the test holds clear at tol (see _step_source; a float walk
+    passes its tol, an exact one None); a cold one runs _solve, as
+    solve_system does, and _region_gaps at tol 0, and never reports
+    clear.  The next b map is one call of _gap_b_of_n(N), looked up once.
     """
+    n = len(d)
     if b is None:
-        b = (1, *range(1, len(d) + 1))
+        b = (1, *range(1, n + 1))
+    gap_b = _gap_b_of_n(n)
     seen = set()
-    while True:
+    while b not in seen:
         plan = _plan_b(b)
-        if b in seen:
-            return _cached_graph_of_b(b), _solve(plan, q, d), None, False
         step = plan.step
         if step is None:
             g = _cached_graph_of_b(b)
@@ -531,13 +525,14 @@ def _walk(
                 g = _cached_graph_of_b(b)
                 return g, z, frozenset(w[:2] for w, x in zip(g.walls, gaps) if x == 0), clear
         seen.add(b)
-        b = _gap_b(z, 0)
+        b = gap_b(z, 0)
+    return _cached_graph_of_b(b), _solve(_plan_b(b), q, d), None, False
 
 
 def _exact_walk(params: Params, b: tuple[int, ...] | None) -> tuple[DCGraph, tuple, frozenset[Edge]]:
     """The region of exact parameters, its solution and wall flags: the
     walk from b map b (None: the empty graph), or find_region should the
-    walk come back to a b map (no termination proof is known for it)."""
+    walk come back to a b map (none is known to, none proven not to)."""
     g, z, flags, _ = _walk(params.q, params.d, b)
     if flags is None:
         g, flags = find_region(params)
@@ -573,20 +568,25 @@ def classify(params: Params, tol: Number = 1e-9) -> RegionReport:
     proposal is the walk's graph and, for float input, the report is that
     graph verified without flags, with no further pair sum or wall test.
     cyclic.conjecture_probe reads that report straight off the walk of
-    its sample's (q, d) row, and calls classify only where the walk does
-    not end clear; the tests hold it to a probe that classifies every
-    sample.
+    its sample's (q, d) row; where the walk does not end clear, it passes
+    that walk to _settle, as classify does, so each sample is walked
+    once.  The tests hold it to a probe that classifies every sample.
     """
     _check_tol(tol)
-    exact = params.is_exact
     try:
-        image = params.as_float() if exact else params
+        image = params.as_float() if params.is_exact else params
     except (OverflowError, ParamsError):  # exact values with no float image
         g, z, flags = _exact_walk(params, None)
         return _report(params, g, z, True, flags)
     g, z, _, clear = _walk(image.q, image.d, tol=tol)
-    proposal = g.b if clear else _gap_b(z, max(tol, 1e-12) * z[0])
-    if exact:
+    return _settle(params, tol, g, z, clear)
+
+
+def _settle(params: Params, tol: Number, g: DCGraph, z: tuple, clear: bool) -> RegionReport:
+    """classify's report from its float walk: g and z where the walk of
+    the float image ended, and whether it ended clear at tol."""
+    proposal = g.b if clear else _gap_b_of_n(len(z))(z, max(tol, 1e-12) * z[0])
+    if params.is_exact:
         g, z, flags = _exact_walk(params, proposal)
         return _report(params, g, z, True, flags)
     if clear:

@@ -44,6 +44,14 @@ def forbid_enumeration(monkeypatch):
     monkeypatch.setattr(combinatorics, "enumerate_dc", refuse)
 
 
+@pytest.fixture
+def cold_plans():
+    """An empty plan cache, before and after the test."""
+    regions._plan_b.cache_clear()
+    yield
+    regions._plan_b.cache_clear()
+
+
 def replay_jump_order(params: Params, graph: combinatorics.DCGraph, z) -> CyclicOrder:
     """Jump order of the stationary profile z of graph, read off a replay
     of one period in the car model: the oracle for cyclic.jump_order, which
@@ -333,7 +341,8 @@ def reference_f_map(z: CyclicOrder) -> combinatorics.DCGraph:
 def gap_edges(z, margin) -> frozenset:
     """The pairs (i, j) whose sub-pairs (i', j') all have
     z_1 - (z_{i'+1} + ... + z_{j'}) > margin, as a pair set: the oracle
-    for regions._gap_b, which builds the b map of this set directly.
+    for regions._gap_b_of_n, whose function builds the b map of this set
+    directly.
 
     By increasing length, a pair is kept when it is above the margin and
     its two immediate children (i+1, j) and (i, j-1) are kept.
@@ -350,9 +359,10 @@ def gap_edges(z, margin) -> frozenset:
 
 
 def reference_gap_b(z, margin) -> tuple[int, ...]:
-    """regions._gap_b as the loop it was before it was generated per N:
-    the oracle for the compiled function.  Row i runs from (i, i+1) while
-    the pair is above the margin, up to at most b(i+1)."""
+    """The function of regions._gap_b_of_n as the loop it was before it
+    was generated per N: the oracle for the compiled function.  Row i
+    runs from (i, i+1) while the pair is above the margin, up to at most
+    b(i+1)."""
     n = len(z)
     b = [1] * (n + 1)
     b[n] = n

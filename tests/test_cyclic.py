@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import time
@@ -16,7 +17,7 @@ from conftest import (
     reference_f_map,
     replay_jump_order,
 )
-from liquidbin import cyclic
+from liquidbin import cyclic, regions
 from liquidbin.combinatorics import DCGraph, connected_component_of_one, enumerate_dc
 from liquidbin.cyclic import (
     ChainConstraint,
@@ -331,8 +332,9 @@ def test_a_chunk_with_an_invalid_sample_raises_the_params_error(monkeypatch, a, 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_probe_matches_the_one_sample_at_a_time_oracle(n, monkeypatch):
     chunk = cyclic._SAMPLE_CHUNK
-    fallbacks = []  # the tol of each sample the probe sends to classify
-    monkeypatch.setattr(cyclic, "classify", lambda params, tol: fallbacks.append(tol) or classify(params, tol=tol))
+    fallbacks = []  # the tol of each sample whose walk the probe settles
+    settle = cyclic._settle
+    monkeypatch.setattr(cyclic, "_settle", lambda params, tol, *walk: fallbacks.append(tol) or settle(params, tol, *walk))
     for tol in (1e-9, 0.1, 0):
         for g in (g for g in enumerate_dc(n) if connected_component_of_one(g).n == n):
             for seed in range(3):
@@ -341,6 +343,27 @@ def test_probe_matches_the_one_sample_at_a_time_oracle(n, monkeypatch):
                     assert conjecture_probe(g, budget, seed, tol).to_json_dict() == want, (g, seed, budget, tol)
     # at tol 0.1 some walks end within the margin of a wall, not clear
     assert 0.1 in fallbacks
+
+
+def test_probe_walks_each_sample_once(cold_plans, monkeypatch):
+    # with every b map cold no walk ends clear, so every sample is settled
+    # from the walk the probe made, never walked again by classify
+    monkeypatch.setattr(regions, "_COMPILE_AFTER", math.inf)
+    walks = []
+    walk = regions._walk
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(regions, "_walk", counted)
+    monkeypatch.setattr(cyclic, "_walk", counted)
+    for module in (regions, cyclic):
+        monkeypatch.setattr(module, "classify", lambda *args, **kwargs: pytest.fail("classify called"))
+    g = [g for g in enumerate_dc(5) if connected_component_of_one(g).n == 5][3]
+    report = conjecture_probe(g, 200, 1)
+    assert report.samples == 200
+    assert len(walks) == report.samples
 
 
 def test_probe_matches_the_oracle_when_it_stops_early():

@@ -9,7 +9,7 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     dyck_words,
@@ -583,7 +583,7 @@ def _proposal(params: Params) -> DCGraph:
     # the graph classify tries first at tol 0
     image = params.as_float()
     z = regions._walk(image.q, image.d)[1]
-    return b_to_dc(regions._gap_b(z, 1e-12 * z[0]))
+    return b_to_dc(regions._gap_b_of_n(len(z))(z, 1e-12 * z[0]))
 
 
 def test_exact_classify_of_decimal_near_wall_points():
@@ -632,7 +632,7 @@ def test_walk_that_comes_back_to_a_b_map_falls_back_to_find_region(cold_plans, m
     # the walk has no termination proof: should its step cycle between two
     # graphs, the exhaustive scan still names the region.  Every b map
     # stays cold, so no walk ends clear and classify takes its proposal
-    # from the patched _gap_b even where the float walk ends on its first
+    # from the patched gap_b even where the float walk ends on its first
     # graph (a hot b map's compiled step would end it clear)
     rng = random.Random(16)
     scans = []
@@ -645,7 +645,7 @@ def test_walk_that_comes_back_to_a_b_map_falls_back_to_find_region(cold_plans, m
         want = find_region(params.as_exact())[0]
         cycle = itertools.cycle([g.b for g in enumerate_dc(n) if g != want][:2])
         with monkeypatch.context() as m:
-            m.setattr(regions, "_gap_b", lambda z, margin: next(cycle))
+            m.setattr(regions, "_gap_b_of_n", lambda n: lambda z, margin: next(cycle))
             report = classify(params)
         assert report.graph == want
         assert report.z == solve_system(want, params)
@@ -687,6 +687,51 @@ def test_float_classify_away_from_walls_matches_exact(gaps_rates):
         exact = classify(params)
         assert exact.verified and not exact.ambiguous
         assert exact.graph == fl.graph
+
+
+# a start graph from which z_1 rises after the first step: no potential
+# led by z_1 proves that the walk ends, so the revisit guard stays
+Z1_RISES = ((F(9), F(19, 2), F(97, 10), F(597, 10), F(1097, 10), F(1107, 10)),
+            (F(1, 500), F(9, 1000), F(1, 125), F(1, 25), F(3, 500), F(500)),
+            (1, 2, 2, 4, 4, 5, 6))
+
+
+def test_z1_rises_on_a_walk_from_a_start_graph():
+    a, p, b = Z1_RISES
+    params = Params(a, p)
+    z1s = []
+    while True:
+        g = b_to_dc(b)
+        z = solve_system(g, params)
+        z1s.append(z[0])
+        if in_region(g, params, z):
+            break
+        b = regions._gap_b_of_n(6)(z, 0)
+    assert z1s == [F(103500, 121), F(460945798300, 2000632148373), 4500, F(2214129092, 10002600169)]
+    assert g == K(6)
+
+
+SPREAD = st.builds(lambda x, k: x * F(10) ** k, RATIONALS, st.integers(-2, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(SPREAD, min_size=n, max_size=n).map(lambda gaps: tuple(itertools.accumulate(gaps))),
+    st.lists(SPREAD, min_size=n, max_size=n).map(tuple),
+    dyck_words(n).map(lambda word: dyck_to_dc(DyckPath(word)).b),
+)))
+@example(Z1_RISES)
+def test_exact_walk_from_any_start_graph_finds_the_region(case):
+    # from any b map, the exact walk names the region of find_region, and
+    # the walk itself ends there with the same flags unless it revisits
+    a, p, b = case
+    params = Params(a, p)
+    g, z, flags = regions._exact_walk(params, b)
+    assert (g, flags) == find_region(params)
+    assert z == solve_system(g, params)
+    wg, wz, wflags, clear = regions._walk(params.q, params.d, b)
+    assert not clear
+    assert wflags is None or (wg, wz, wflags) == (g, z, flags)
 
 
 def test_classify_z_is_the_reported_graphs_solution_near_walls():
@@ -881,14 +926,6 @@ def test_kernel_is_bit_identical_at_larger_n(case):
     assert_kernel_matches(g, list(_float_and_exact_points(rng, g.n, 1)), [_mixed_point(rng, g.n)])
 
 
-@pytest.fixture
-def cold_plans():
-    """An empty plan cache, before and after the test."""
-    regions._plan_b.cache_clear()
-    yield
-    regions._plan_b.cache_clear()
-
-
 def _count_calls(monkeypatch, name):
     calls = []
     real = getattr(regions, name)
@@ -968,7 +1005,7 @@ def test_gap_edges_closure_matches_the_sub_pair_filter():
         n = len(z)
         want = gap_edges(z, margin)
         assert want == gap_edges_reference(z, margin)
-        assert regions._gap_b(z, margin) == reference_b(DCGraph(n, want)) == reference_gap_b(z, margin)
+        assert regions._gap_b_of_n(n)(z, margin) == reference_b(DCGraph(n, want)) == reference_gap_b(z, margin)
         up = {(i, j) for (i, j) in all_pairs(n) if z[0] - sum(z[i:j]) > margin}
         removed += len(up) - len(want)
         nan += any(x != x for x in z) and bool(want)
@@ -988,8 +1025,9 @@ def _gap_b_vectors(n):
 @given(st.integers(1, 20).flatmap(_gap_b_vectors),
        st.one_of(st.sampled_from([0, 0.0, F(0)]), st.floats(1e-12, 2), st.fractions(F(1, 10**6), 2)))
 def test_compiled_gap_b_matches_the_interpreted_loop(z, margin):
-    assert regions._gap_b(z, margin) == reference_gap_b(z, margin)
-    assert regions._gap_b(list(z), margin) == reference_gap_b(z, margin)
+    gap_b = regions._gap_b_of_n(len(z))
+    assert gap_b(z, margin) == reference_gap_b(z, margin)
+    assert gap_b(list(z), margin) == reference_gap_b(z, margin)
 
 
 def test_gap_b_compiles_at_n60_within_a_second():
@@ -1026,7 +1064,7 @@ def test_compiled_step_matches_the_wall_tests_on_every_graph_to_n8():
     others, float (at three tolerances) and exact (wall points too): z as
     the solve gives it, the verdict and flags of _region_gaps at tol 0,
     clear exactly where the rule holds, and where it does, the b map of
-    _gap_b at the proposal margin is the graph's and _region_gaps
+    gap_b at the proposal margin is the graph's and _region_gaps
     verifies unflagged."""
     rng = random.Random(23)
     np_rng = np.random.default_rng(23)
@@ -1054,7 +1092,7 @@ def test_compiled_step_matches_the_wall_tests_on_every_graph_to_n8():
                     elif clear:
                         statuses["clear"] += 1
                         assert gaps == () and flags == frozenset()
-                        assert regions._gap_b(z, max(tol, 1e-12) * z[0]) == g.b
+                        assert regions._gap_b_of_n(n)(z, max(tol, 1e-12) * z[0]) == g.b
                         assert regions._region_gaps(g, z, tol) == (True, frozenset())
                     else:
                         statuses["holds"] += 1
