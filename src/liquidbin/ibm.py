@@ -21,7 +21,7 @@ from .regions import classify
 
 RNG_NAME = "numpy-pcg64"
 _BURN_CHUNK = 4096  # the burn-in is drawn in batches of at least this many moves
-_TRIM_LENGTH = 16  # least list length at which a new front bin trims the window's back
+_TRIM_LENGTH = 16  # least length of the bins behind the front two at which a new front bin trims them
 MAX_BURN_IN = 10**8  # moves: the 10 * max_move burn-in is refused beyond this
 
 
@@ -74,6 +74,8 @@ class SimResult:
 def mu_s(params: Params, s: Number) -> MoveDistribution:
     """Discretized move distribution at scale s: atom floor(s * a_i) with
     weight p_i / sum(p); colliding atoms merge their weights."""
+    if s != s:
+        raise ValueError(f"scale {s} is not a number")
     if not s * params.a[0] >= 1:
         raise ValueError(f"scale {s} puts the first atom at 0 (need s >= 1/a_1)")
     norm = params.normalized_rates()
@@ -89,7 +91,11 @@ def mu_s(params: Params, s: Number) -> MoveDistribution:
 
 
 def _trim(counts: list[int], window: int) -> None:
-    """Drop back bins while the rest still holds `window` particles."""
+    """Drop back bins while the rest still holds `window` particles (all
+    of them when `window` <= 0)."""
+    if window <= 0:
+        counts.clear()
+        return
     total = sum(counts)
     while total - counts[-1] >= window:
         total -= counts.pop()
@@ -100,32 +106,57 @@ def _run_chain(counts: list[int], moves, window: int) -> tuple[list[int], int]:
     `window` rightmost particles stored; returns the trimmed window and
     the total front displacement.
 
+    The loop holds the front bin's count in `s0` and the count of the
+    front two bins together in `s1` (a one-bin window gets an empty
+    second bin, which the final trim drops), and the bins behind them
+    front-first in `rest`.  A move xi <= s0 opens a front bin, xi <= s1
+    adds a particle to the front bin, and only a move past s1 reads
+    `rest`.  On the benchmark's move laws (mu_s at s = 20, 50 and 200 of
+    nine rate sets drawn as perfbench's montecarlo workload draws them,
+    10^5 moves each) 40-75% of moves add to the front bin, 24-53% to the
+    second bin, 0.3-4.9% open a front bin and 0-13% go deeper, so most
+    moves touch only locals.
+
     The window only grows at the front: a move xi <= window never scans
     past the first bin, from the front, at which `window` particles are
     reached, and adds its particle in front of that bin.  So bins behind
-    it are dead weight but never wrong.  The back is trimmed only when a
-    new front bin makes the list longer than twice its length after the
-    last trim (and than `_TRIM_LENGTH`), which costs O(1) per move
-    amortised, and once more on return, which gives exactly the window
-    a trim after every move would.
+    it are dead weight but never wrong.  `rest` is trimmed, against
+    window - s1, only when a new front bin makes it longer than twice
+    its length after the last trim (and than `_TRIM_LENGTH`), which costs
+    O(1) per move amortised.  On return the list [s0, s1 - s0, *rest] is
+    trimmed once more, which gives exactly the window a trim after every
+    move would.
     """
+    s0 = counts[0]
+    s1 = s0 + (counts[1] if len(counts) > 1 else 0)
+    rest = counts[2:]
     displacement = 0
-    limit = max(_TRIM_LENGTH, 2 * len(counts))
+    limit = max(_TRIM_LENGTH, 2 * len(rest))
     for xi in moves:
-        cum = counts[0]
-        if cum >= xi:  # the xi-th rightmost particle sits in the front bin
-            counts.insert(0, 1)
+        if xi <= s1:
+            if xi > s0:  # the xi-th rightmost particle sits in the second bin
+                s0 += 1
+                s1 += 1
+                continue
+            rest.insert(0, s1 - s0)  # the old second bin moves behind
+            s1 = s0 + 1
+            s0 = 1
             displacement += 1
-            if len(counts) > limit:
-                _trim(counts, window)
-                limit = max(_TRIM_LENGTH, 2 * len(counts))
+            if len(rest) > limit:
+                _trim(rest, window - s1)
+                limit = max(_TRIM_LENGTH, 2 * len(rest))
+            continue
+        cum = s1 + rest[0]
+        if cum >= xi:  # the third bin: one more in the second
+            s1 += 1
             continue
         idx = 1
-        cum += counts[1]
+        cum += rest[1]
         while cum < xi:
             idx += 1
-            cum += counts[idx]
-        counts[idx - 1] += 1
+            cum += rest[idx]
+        rest[idx - 1] += 1
+    counts = [s0, s1 - s0, *rest]
     _trim(counts, window)
     return counts, displacement
 

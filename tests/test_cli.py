@@ -698,9 +698,17 @@ def test_ibm_scale_beyond_int64_moves_exits_2(capsys, scale):
     assert out == "" and err.startswith("error: scale") and "Traceback" not in err
 
 
+def test_ibm_nan_scale_exits_2(capsys):
+    # a nan scale failed the first-atom test and was reported as putting
+    # the first atom at 0
+    code, out, err = run_cli(capsys, "ibm", "--a", "1.5,2.5", "--p", "0.5,1.5", "--s", "20,nan", "--steps", "10")
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err == "error: scale nan is not a number\n"
+
+
 def test_ibm_burn_in_beyond_the_limit_exits_2(capsys):
     # scale 1e9 puts the largest atom at 2.5e9: a 2.5e10-move burn-in,
-    # about an hour and a half of chain steps, refused at once
+    # about half an hour of chain steps, refused at once
     code, out, err = run_cli(
         capsys, "ibm", "--a", "1.5,2.5", "--p", "0.5,1.5", "--s", "20,1e9", "--steps", "10")
     assert code == EXIT_BAD_INPUT

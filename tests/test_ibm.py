@@ -44,11 +44,21 @@ def reference_chain(counts, moves, window):
 
 @st.composite
 def chain_cases(draw):
-    support = sorted(draw(st.sets(st.integers(1, 12), min_size=1, max_size=4)))
+    support = draw(st.sets(st.integers(1, 12), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        # one atom up to 150 widens the window over many bins: its moves
+        # scan past the front two, and the small atoms' new front bins
+        # grow the back long enough to be trimmed within one call
+        support.add(draw(st.integers(13, 150)))
+    support = sorted(support)
     window = support[-1]
-    burn = draw(st.lists(st.sampled_from(support), max_size=200))
-    start, _ = reference_chain([window], burn, window)
-    moves = draw(st.lists(st.sampled_from(support), max_size=300))
+
+    def draw_moves(longest):  # of a length drawn evenly: plain lists are mostly short
+        size = draw(st.integers(0, longest))
+        return draw(st.lists(st.sampled_from(support), min_size=size, max_size=size))
+
+    start, _ = reference_chain([window], draw_moves(200), window)
+    moves = draw_moves(300)
     cut = draw(st.integers(0, len(moves)))
     return start, moves, cut, window
 
@@ -124,13 +134,22 @@ def test_seed_reproducibility():
     assert c.front_displacement != a.front_displacement or c.state != a.state
 
 
+SMALL = MoveDistribution((1, 3, 4), (0.25, 0.25, 0.5))
+
+
 @pytest.mark.parametrize(
-    "steps, displacement, occupancy, ci95",
-    [(1, 0, (1, 2, 4), None), (10**4 + 37, 3572, (1, 1, 2), 0.0042532405993500515)],
+    "dist, steps, displacement, occupancy, ci95",
+    [
+        pytest.param(SMALL, 1, 0, (1, 2, 4), None, id="1-0-occupancy0-None"),
+        pytest.param(SMALL, 10**4 + 37, 3572, (1, 1, 2), 0.0042532405993500515,
+                     id="10037-3572-occupancy1-0.0042532405993500515"),
+        # a window of two bins of up to about 110 particles, as the benchmark runs
+        pytest.param(mu_s(FIG1, 50), 10**5, 889, (71, 110), 0.0001370636323866512, id="fig1-s50"),
+    ],
 )
-def test_seeded_chain_pinned(steps, displacement, occupancy, ci95):
+def test_seeded_chain_pinned(dist, steps, displacement, occupancy, ci95):
     # moves are drawn batch by batch; the seeded stream must not change
-    res = simulate_ibm(MoveDistribution((1, 3, 4), (0.25, 0.25, 0.5)), steps, seed=3)
+    res = simulate_ibm(dist, steps, seed=3)
     assert res.front_displacement == displacement
     assert res.speed_estimate == displacement / steps
     assert res.state.occupancy == occupancy
@@ -221,8 +240,11 @@ def test_simulate_ibm_memory_stays_bounded():
         # every move opens a front bin: the worst case for a window whose
         # back is trimmed only as it grows
         ((1,), (1.0,), 10**6),
+        # a window of two bins of up to about 450 particles: the bins
+        # behind the front two are trimmed as they grow
+        (mu_s(FIG1, 200).support, mu_s(FIG1, 200).weights, 10**6),
     ],
-    ids=["long-burn-in", "front-every-move"],
+    ids=["long-burn-in", "front-every-move", "multi-bin-window"],
 )
 def test_simulate_ibm_memory_bounded_at_the_edges(support, weights, steps):
     dist = MoveDistribution(support, weights)
