@@ -79,7 +79,6 @@ from .cyclic import (
 from .ibm import (
     HydroRow,
     HydroSummary,
-    IBMState,
     MoveDistribution,
     SimResult,
     deterministic_speed,

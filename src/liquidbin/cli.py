@@ -16,7 +16,15 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterator
 
-from .combinatorics import DCGraph, dc_graphs, dc_to_dyck, enumerate_dc, graph_index, regions_adjacent
+from .combinatorics import (
+    DCGraph,
+    connected_component_of_one,
+    dc_graphs,
+    dc_to_dyck,
+    enumerate_dc,
+    graph_index,
+    regions_adjacent,
+)
 from .cyclic import (
     DisconnectedRegionError,
     WallTieError,
@@ -44,8 +52,6 @@ def _jsonify(obj):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, frozenset):
-        return sorted(_jsonify(v) for v in obj)
     return format_number(obj)
 
 
@@ -248,8 +254,6 @@ def _probe_one(budget: int, task: tuple[DCGraph, int]):
 
 
 def _cmd_conjecture(args) -> int:
-    from .combinatorics import connected_component_of_one
-
     check_extension_cap(args.n)  # before the C_N graphs are built
     graphs = [g for g in enumerate_dc(args.n) if connected_component_of_one(g).n == args.n]
     tasks = list(zip(graphs, spawn_seeds(args.seed, len(graphs))))

@@ -319,16 +319,21 @@ def is_antichain(edges: frozenset[Edge] | set[Edge]) -> bool:
 
 @dataclass(frozen=True)
 class Adjacency:
-    adjacent: bool
-    codim: int | None = None
+    """Stores codim (None when the regions do not meet); derives adjacent."""
+
+    codim: int | None
+
+    @property
+    def adjacent(self) -> bool:
+        return self.codim is not None
 
 
-_NOT_ADJACENT = Adjacency(False, None)
+_NOT_ADJACENT = Adjacency(None)
 
 
 @lru_cache(maxsize=None)
 def _adjacent(codim: int) -> Adjacency:
-    return Adjacency(True, codim)
+    return Adjacency(codim)
 
 
 def regions_adjacent(g1: DCGraph, g2: DCGraph) -> Adjacency:

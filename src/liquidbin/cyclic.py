@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -56,10 +56,7 @@ class CyclicOrder:
 
     def contains(self, x: int, y: int, z: int) -> bool:
         """Triple test: y lies strictly between x and z clockwise."""
-        pos = {v: k for k, v in enumerate(self.order)}
-        dy = (pos[y] - pos[x]) % self.n
-        dz = (pos[z] - pos[x]) % self.n
-        return 0 < dy < dz
+        return _is_chain(self.order, (x, y, z))
 
     def is_chain(self, entries: Sequence[int]) -> bool:
         """(i_1, ..., i_m) appears in clockwise order (see _is_chain)."""
@@ -250,17 +247,28 @@ def jump_order(
 
 @dataclass(frozen=True)
 class ProbeReport:
+    """Stores graph, counts, samples, hits, skipped, seed; derives extensions, realized, missing."""
+
     graph: DCGraph
-    extensions: tuple[CyclicOrder, ...]
-    realized: tuple[CyclicOrder, ...]
-    missing: tuple[CyclicOrder, ...]
-    counts: dict
+    counts: dict  # CyclicOrder -> times realized, one entry per extension, in extension order
     samples: int
     hits: int
     skipped: int
     seed: int
-    method: str = "stationary-phases"
-    rng: str = "numpy-pcg64"
+    method: ClassVar[str] = "stationary-phases"
+    rng: ClassVar[str] = "numpy-pcg64"
+
+    @property
+    def extensions(self) -> tuple[CyclicOrder, ...]:
+        return tuple(self.counts)
+
+    @property
+    def realized(self) -> tuple[CyclicOrder, ...]:
+        return tuple(z for z, c in self.counts.items() if c > 0)
+
+    @property
+    def missing(self) -> tuple[CyclicOrder, ...]:
+        return tuple(z for z, c in self.counts.items() if c == 0)
 
     @property
     def covered(self) -> bool:
@@ -395,16 +403,4 @@ def conjecture_probe(g: DCGraph, budget: int, seed: int, tol: Number = 1e-9) -> 
         remaining.discard(order)
         if not remaining:
             break
-    realized = tuple(o for o in extensions if counts[o] > 0)
-    missing = tuple(o for o in extensions if counts[o] == 0)
-    return ProbeReport(
-        graph=g,
-        extensions=extensions,
-        realized=realized,
-        missing=missing,
-        counts=counts,
-        samples=used,
-        hits=hits,
-        skipped=skipped,
-        seed=seed,
-    )
+    return ProbeReport(graph=g, counts=counts, samples=used, hits=hits, skipped=skipped, seed=seed)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,25 +52,20 @@ class MoveDistribution:
 
 
 @dataclass(frozen=True)
-class IBMState:
-    """Occupancy window for the front bin leftward, covering at least the
-    max_move rightmost particles."""
-
-    occupancy: tuple[int, ...]
-    front: int
-    steps: int
-
-
-@dataclass(frozen=True)
 class SimResult:
+    """Stores front_displacement, steps, ci95, burn_in, seed, occupancy; derives speed_estimate."""
+
     front_displacement: int
-    speed_estimate: float
-    ci95: float
     steps: int
+    ci95: float
     burn_in: int
     seed: int
-    state: IBMState
-    rng: str = RNG_NAME
+    occupancy: tuple[int, ...]  # the final window, front bin leftward: at least max_move particles
+    rng: ClassVar[str] = RNG_NAME
+
+    @property
+    def speed_estimate(self) -> float:
+        return self.front_displacement / self.steps
 
 
 def mu_s(params: Params, s: Number) -> MoveDistribution:
@@ -207,21 +204,18 @@ def simulate_ibm(dist: MoveDistribution, steps: int, seed: int) -> SimResult:
         displacement += moved
         if start + batch_len <= steps:
             marks.append(displacement)
-    estimate = displacement / steps
     ci95 = float("nan")
     if len(marks) >= 2:
         per_batch = np.diff(np.asarray(marks[:batches], dtype=float), prepend=0.0) / batch_len
         b = len(per_batch)
         ci95 = 1.96 * float(np.std(per_batch, ddof=1)) / math.sqrt(b)
-    state = IBMState(occupancy=tuple(counts), front=displacement, steps=steps)
     return SimResult(
         front_displacement=displacement,
-        speed_estimate=estimate,
-        ci95=ci95,
         steps=steps,
+        ci95=ci95,
         burn_in=burn,
         seed=seed,
-        state=state,
+        occupancy=tuple(counts),
     )
 
 
@@ -248,38 +242,48 @@ def deterministic_speed(dist: MoveDistribution) -> Fraction:
 
 @dataclass(frozen=True)
 class HydroRow:
+    """Stores s, atoms, v_hat, ci95, liquid_speed, seed; derives s_times_v and gap."""
+
     s: Number
     atoms: MoveDistribution
     v_hat: float
     ci95: float
-    s_times_v: float
     liquid_speed: float
-    gap: float
     seed: int
+
+    @property
+    def s_times_v(self) -> float:
+        return float(self.s) * self.v_hat
+
+    @property
+    def gap(self) -> float:
+        return abs(self.s_times_v - self.liquid_speed)
 
 
 @dataclass(frozen=True)
 class HydroSummary:
+    """Stores rows; derives gap_first, gap_last and gap_decreased."""
+
     rows: tuple[HydroRow, ...]
-    gap_first: float
-    gap_last: float
-    gap_decreased: bool
+
+    @property
+    def gap_first(self) -> float:
+        return self.rows[0].gap
+
+    @property
+    def gap_last(self) -> float:
+        return self.rows[-1].gap
+
+    @property
+    def gap_decreased(self) -> bool:
+        return self.gap_last < self.gap_first
 
 
 def _hydro_row(steps: int, liquid: float, task) -> HydroRow:
     s, dist, child_seed = task
     sim = simulate_ibm(dist, steps, child_seed)
-    sv = float(s) * sim.speed_estimate
-    return HydroRow(
-        s=s,
-        atoms=dist,
-        v_hat=sim.speed_estimate,
-        ci95=sim.ci95,
-        s_times_v=sv,
-        liquid_speed=liquid,
-        gap=abs(sv - liquid),
-        seed=child_seed,
-    )
+    return HydroRow(s=s, atoms=dist, v_hat=sim.speed_estimate, ci95=sim.ci95,
+                    liquid_speed=liquid, seed=child_seed)
 
 
 def hydrolimit_check(
@@ -292,8 +296,6 @@ def hydrolimit_check(
     Each scale runs on its own seed derived from the master seed, so the
     output does not depend on the worker count.
     """
-    from functools import partial
-
     norm = params.normalized_rates()
     try:
         liquid = float(classify(norm).speed)
@@ -306,10 +308,4 @@ def hydrolimit_check(
     for dist in dists:  # refuse an overlong burn-in before any chain runs
         _burn_in(dist)
     tasks = list(zip(s_values, dists, spawn_seeds(seed, len(s_values))))
-    rows = parallel_map(partial(_hydro_row, steps, liquid), tasks, jobs)
-    return HydroSummary(
-        rows=tuple(rows),
-        gap_first=rows[0].gap,
-        gap_last=rows[-1].gap,
-        gap_decreased=rows[-1].gap < rows[0].gap,
-    )
+    return HydroSummary(tuple(parallel_map(partial(_hydro_row, steps, liquid), tasks, jobs)))

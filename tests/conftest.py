@@ -112,17 +112,7 @@ def reference_conjecture_probe(
         remaining.discard(order)
         if not remaining:
             break
-    return ProbeReport(
-        graph=g,
-        extensions=extensions,
-        realized=tuple(o for o in extensions if counts[o] > 0),
-        missing=tuple(o for o in extensions if counts[o] == 0),
-        counts=counts,
-        samples=used,
-        hits=hits,
-        skipped=skipped,
-        seed=seed,
-    )
+    return ProbeReport(graph=g, counts=counts, samples=used, hits=hits, skipped=skipped, seed=seed)
 
 
 class _ReferenceEventSim:

@@ -374,9 +374,9 @@ def test_antichain_matches_pairwise_scan():
 
 def test_adjacency_examples():
     K3, L3, E3 = DCGraph.complete(3), DCGraph.line(3), DCGraph.empty(3)
-    assert regions_adjacent(K3, L3) == Adjacency(True, 1)
-    assert regions_adjacent(K3, E3) == Adjacency(False, None)
-    assert regions_adjacent(E3, DCGraph(3, frozenset({(1, 2)}))) == Adjacency(True, 1)
+    assert regions_adjacent(K3, L3) == Adjacency(1)
+    assert regions_adjacent(K3, E3) == Adjacency(None)
+    assert regions_adjacent(E3, DCGraph(3, frozenset({(1, 2)}))) == Adjacency(1)
     with pytest.raises(ValueError):
         regions_adjacent(K3, K3)
     with pytest.raises(ValueError):

@@ -60,6 +60,17 @@ def test_triple_membership():
     assert z.is_chain((1,)) and z.is_chain((1, 2))
 
 
+def test_triple_membership_is_the_offset_rule():
+    # contains(x, y, z): 0 < dy < dz for the clockwise offsets of y and z
+    # from x, read off the positions, on every order at N <= 6
+    for n in range(3, 7):
+        for z in all_cyclic_orders(n):
+            pos = {v: k for k, v in enumerate(z.order)}
+            for x, y, w in itertools.permutations(range(1, n + 1), 3):
+                want = 0 < (pos[y] - pos[x]) % n < (pos[w] - pos[x]) % n
+                assert z.contains(x, y, w) == want, (z, (x, y, w))
+
+
 def test_is_chain_is_the_conjunction_of_its_triples():
     # the definition: contains(i_1, i_k, i_{k+1}) for k = 2..m-1, on every
     # order at N <= 6 and every tuple of 3 or 4 distinct entries

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -75,6 +76,22 @@ def test_run_chain_matches_per_move_trim(case):
     assert (tail, moved_head + moved_tail) == expected
 
 
+def test_run_chain_trims_the_back_within_one_call():
+    # every move opens a front bin, so the bins behind the front two grow
+    # by one per move: only the trim inside the loop keeps them short
+    # (without it they peak at about 330 KB in this call, and each insert
+    # at the front shifts them all, so a long call turns quadratic)
+    _run_chain([1], [1], 1)  # warm-up
+    tracemalloc.start()
+    try:
+        counts, moved = _run_chain([1], itertools.repeat(1, 2 * 10**4), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (counts, moved) == ([1], 2 * 10**4)
+    assert peak < 16 * 1024
+
+
 def test_move_distribution_validation():
     with pytest.raises(ValueError):
         MoveDistribution((0,), (1.0,))
@@ -129,9 +146,9 @@ def test_seed_reproducibility():
     b = simulate_ibm(dist, 20000, seed=99)
     assert a.front_displacement == b.front_displacement
     assert a.speed_estimate == b.speed_estimate
-    assert a.state == b.state
+    assert a.occupancy == b.occupancy
     c = simulate_ibm(dist, 20000, seed=100)
-    assert c.front_displacement != a.front_displacement or c.state != a.state
+    assert c.front_displacement != a.front_displacement or c.occupancy != a.occupancy
 
 
 SMALL = MoveDistribution((1, 3, 4), (0.25, 0.25, 0.5))
@@ -152,7 +169,7 @@ def test_seeded_chain_pinned(dist, steps, displacement, occupancy, ci95):
     res = simulate_ibm(dist, steps, seed=3)
     assert res.front_displacement == displacement
     assert res.speed_estimate == displacement / steps
-    assert res.state.occupancy == occupancy
+    assert res.occupancy == occupancy
     if ci95 is None:
         assert math.isnan(res.ci95)  # a single batch has no spread
     else:
