@@ -65,7 +65,6 @@ from .stationary import (
     verify_stationarity,
 )
 from .cyclic import (
-    ChainConstraint,
     CyclicOrder,
     DisconnectedRegionError,
     ProbeReport,

@@ -240,7 +240,7 @@ def _cmd_extensions(args) -> int:
         {
             "n": g.n,
             "edges": [list(e) for e in g.sorted_edges],
-            "chains": [list(c.entries) for c in zprime_chains(g)],
+            "chains": [list(c) for c in zprime_chains(g)],
             "count": len(exts),
             "extensions": [list(z.order) for z in exts],
         }

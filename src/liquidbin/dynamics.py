@@ -98,12 +98,11 @@ class CarConfig:
     """Cars strictly inside (0, a_N), positions strictly decreasing.
 
     Infinitely many cars wait at 0 behind the last stored one; the car
-    ahead of the first stored one is at or beyond a_N (it then imposes the
-    top speed q_N on the first stored car), recorded by the flag.
+    ahead of the first stored one is at or beyond a_N, so it imposes the
+    top speed q_N on the first stored car.
     """
 
     positions: tuple[Number, ...]
-    lead_at_or_beyond: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "positions", tuple(self.positions))

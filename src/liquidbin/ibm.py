@@ -220,24 +220,18 @@ def simulate_ibm(dist: MoveDistribution, steps: int, seed: int) -> SimResult:
 
 
 def deterministic_speed(dist: MoveDistribution) -> Fraction:
-    """Exact speed of a single-atom chain by cycle detection on the
-    occupancy window."""
+    """Exact speed 1/k of the single-atom chain with move k.
+
+    From the flat window [k] (k particles, all in the front bin) the k-th
+    rightmost particle sits in the front bin, so a move opens a new front
+    bin: the window is [1, k - 1].  While the second bin is not empty the
+    k-th rightmost particle sits there, so each of the next k - 1 moves
+    adds a particle to the front bin: [1 + m, k - 1 - m] after m of them.
+    After k moves the window is [k] again and the front has moved once.
+    """
     if len(dist.support) != 1:
-        raise ValueError("cycle detection applies to deterministic (single-atom) moves")
-    k = dist.max_move
-    counts = [k]
-    front = 0
-    seen: dict[tuple[int, ...], tuple[int, int]] = {tuple(counts): (0, 0)}
-    step = 0
-    while True:
-        counts, moved = _run_chain(counts, [k], k)
-        front += moved
-        step += 1
-        key = tuple(counts)
-        if key in seen:
-            step0, front0 = seen[key]
-            return Fraction(front - front0, step - step0)
-        seen[key] = (step, front)
+        raise ValueError("the exact speed applies to deterministic (single-atom) moves")
+    return Fraction(1, dist.max_move)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import gt, sub
+from itertools import accumulate
+from operator import sub
 from typing import Sequence
 
 
@@ -75,37 +75,22 @@ def _validate(a: tuple[Number, ...], p: tuple[Number, ...]) -> None:
 class Params:
     """Validated parameter vector (a, p) with derived gaps and rates.
 
-    d, q and is_exact are computed at construction and stored on the
-    instance outside the dataclass fields, so equality, hashing and repr
-    are those of (a, p) alone; a pickled instance carries them, and
-    `dataclasses.replace` computes them anew.
+    Every input takes one path: ints become Fractions, `_validate`
+    checks the vectors, d and q are derived, and a q_N that overflows is
+    rejected.  d, q and is_exact are computed at construction and stored
+    on the instance outside the dataclass fields, so equality, hashing
+    and repr are those of (a, p) alone; a pickled instance carries them,
+    and `dataclasses.replace` computes them anew.
     """
 
     a: tuple[Number, ...]
     p: tuple[Number, ...]
 
     def __post_init__(self) -> None:
-        a, p = tuple(self.a), tuple(self.p)
-        xs = a + p
-        # one C-level pass accepts the common all-float input; anything
-        # else, or a failing check, goes through the loops of _validate,
-        # which raise the errors
-        if (
-            a
-            and len(a) == len(p)
-            and all(map(isinstance, xs, repeat(float)))
-            and all(map(math.isfinite, xs))
-            and a[0] > 0
-            and all(map(gt, a[1:], a))
-            and min(p) > 0
-        ):
-            is_exact = False
-        else:
-            # ints count as exact, so they are stored as Fractions: `/` on
-            # them would compute in float
-            a, p = _ints_as_fractions(a), _ints_as_fractions(p)
-            _validate(a, p)
-            is_exact = all(map(is_exact_scalar, a + p))
+        # ints count as exact, so they are stored as Fractions: `/` on
+        # them would compute in float
+        a, p = _ints_as_fractions(self.a), _ints_as_fractions(self.p)
+        _validate(a, p)
         # gaps d_i = a_i - a_{i-1}, 1-based content (length N), and
         # cumulative rates with sentinel: q[0] = 0, q[i] = p_1 + ... + p_i
         d = (a[0] - 0,) + tuple(map(sub, a[1:], a))
@@ -116,7 +101,7 @@ class Params:
                 f"cumulative rate p_1 + ... + p_N must be finite, overflows to {q[-1]}"
             )
         # the instance is frozen: its dict is written directly
-        vars(self).update(a=a, p=p, d=d, q=q, is_exact=is_exact)
+        vars(self).update(a=a, p=p, d=d, q=q, is_exact=all(map(is_exact_scalar, a + p)))
 
     @property
     def n(self) -> int:

@@ -112,7 +112,9 @@ def reference_conjecture_probe(
         remaining.discard(order)
         if not remaining:
             break
-    return ProbeReport(graph=g, counts=counts, samples=used, hits=hits, skipped=skipped, seed=seed)
+    return ProbeReport(
+        graph=g, counts=tuple(counts.items()), samples=used, hits=hits, skipped=skipped, seed=seed
+    )
 
 
 class _ReferenceEventSim:

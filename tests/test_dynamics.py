@@ -78,7 +78,6 @@ def test_cursors_examples():
 def test_sigma_partial_sums():
     y = sigma(FIG1_BINS, FIG1)
     assert y.positions == (F(1),)
-    assert y.lead_at_or_beyond
 
     # all-equal bins give arithmetic positions
     params = Params((F(1), F(4)), (F(1), F(1)))
