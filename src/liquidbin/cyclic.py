@@ -19,7 +19,7 @@ import numpy as np
 
 from .combinatorics import DCGraph, b_to_dc, connected_component_of_one
 from .params import Number, Params
-from .regions import _check_tol, _settle, _walk, classify, float_solution, solve_system
+from .regions import _check_tol, _plan_b, _settle, _step, _walk, classify, float_solution, solve_system
 
 
 class DisconnectedRegionError(ValueError):
@@ -235,7 +235,14 @@ def jump_order(
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Stores graph, counts, samples, hits, skipped, seed; derives extensions, realized, missing."""
+    """Stores graph, counts, samples, hits, skipped, seed; derives extensions, realized, missing.
+
+    samples counts the samples drawn, hits those located in g.  skipped
+    counts the samples left undecided: a report of classify that is
+    ambiguous (within tol of a wall), for a sample not clearly outside g
+    (see conjecture_probe), and a hit whose jump order is a tie.  A
+    sample clearly outside g is a miss whatever its report would be.
+    """
 
     graph: DCGraph
     counts: tuple[tuple[CyclicOrder, int], ...]  # (extension, times realized), in extension order
@@ -335,12 +342,23 @@ def conjecture_probe(g: DCGraph, budget: int, seed: int, tol: Number = 1e-9) -> 
     the budget, never as refutations.  tol must be finite and >= 0, as in
     classify (ValueError otherwise, whatever the budget).
 
-    Each sample is located with the report classify gives it, from one
-    float walk of its (q, d) row (see _probe_stream): a walk that ends
-    clear of every wall gives its graph and solution, verified without
-    flags, once the solution passes float_solution as in classify; any
-    other walk goes on to classify's _settle.  A Params is built only for
-    those samples and for the hits, which jump_order reads.
+    A sample is first tested against the region of g alone, with one
+    solve of g's system and its wall test on the sample's (q, d) row (see
+    _probe_stream and regions._step).  It is a miss, never walked, when
+    some wall of g is on the wrong side by more than the margin m =
+    max(tol, 1e-12) * z_1: a maximal gap below -m or an addable gap above
+    m.  That z has the bits of solve_system(g, params), so
+    _region_gaps(g, z, tol) fails with that wall unflagged (z_1 >= 0, so
+    m >= tol * z_1); and a report of classify that names g without
+    ambiguity needs that same test to pass, so no such report can exist
+    for the sample.  A miss is never counted in skipped, even where its
+    own report would be ambiguous.  The rest, about 1% of samples at
+    N = 4 and 5, are located with the report classify
+    gives them, from one float walk of their row: a walk that ends clear
+    of every wall gives its graph and solution, verified without flags,
+    once the solution passes float_solution as in classify; any other
+    walk goes on to classify's _settle.  A Params is built only for those
+    samples and for the hits, which jump_order reads.
     """
     _require_connected(g)
     if budget < 0:
@@ -351,7 +369,11 @@ def conjecture_probe(g: DCGraph, budget: int, seed: int, tol: Number = 1e-9) -> 
     rng = np.random.default_rng(seed)
     hits = skipped = used = 0
     remaining = set(extensions)
+    plan = _plan_b(g.b)
     for used, (a, p, q, d) in enumerate(_probe_stream(rng, g.n, budget), 1):
+        _, gaps, clear = _step(plan, q, d, tol)
+        if gaps is None and clear:
+            continue  # clearly outside the region of g: no report names g unambiguously
         graph, z, _, clear = _walk(q, d, tol=tol)
         if clear:
             float_solution(z)  # the range check of classify's report

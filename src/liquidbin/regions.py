@@ -17,7 +17,9 @@ a straight-line Python function that computes the same terms in the same
 order, so hot graphs skip the interpretation and cold ones the compile.
 The same compile gives the b map a walk step, the solve followed by its
 wall test (that of _region_gaps at tol 0), and the walk finds the next b
-map with a function generated once per N (_gap_b_of_n).
+map with a function generated once per N (_gap_b_of_n).  One helper,
+_step, runs a b map's step on either tier, for the walk and for the
+conjecture probe's test of a sample against its target graph.
 """
 from __future__ import annotations
 
@@ -170,17 +172,26 @@ def _step_source(b: tuple[int, ...]) -> str:
     the wrong side.  gaps is None when the region does not hold, else the
     wall gaps, from which the caller reads the exact-zero flags.
 
-    clear is True, with gaps (), when tol is not None and the test holds
-    clear: every z_i >= 0, every maximal gap > max(tol, 1e-12) * z1 and
-    every addable gap < -tol * z1.  Then _region_gaps(g, z, tol) verifies
-    without flags, and _gap_b_of_n(N)(z, max(tol, 1e-12) * z1) is b: an
-    addable pair fails the margin, and a sub-pair of a maximal edge sums
-    a part of its nonnegative terms, so its gap is no smaller.  (A float
-    sum of nonnegative terms does not grow when terms are left out: so it
-    is for the left-to-right sum of Python <= 3.11, and, but for a
+    clear says the verdict holds by the margin max(tol, 1e-12) * z1, and
+    is False whenever tol is None: only a float walk passes a tol, and an
+    exact one never computes the float margin.
+
+    Inside (gaps () and clear True): every z_i >= 0, every maximal gap >
+    the margin and every addable gap < -tol * z1.  Then _region_gaps(g,
+    z, tol) verifies without flags, and _gap_b_of_n(N)(z, margin) is b:
+    an addable pair fails the margin, and a sub-pair of a maximal edge
+    sums a part of its nonnegative terms, so its gap is no smaller.  (A
+    float sum of nonnegative terms does not grow when terms are left out:
+    so it is for the left-to-right sum of Python <= 3.11, and, but for a
     last-bit rounding, for the compensated sum of 3.12+; the tests check
-    the claim.)  Only a float walk passes a tol: an exact one never
-    computes the float margin."""
+    the claim.)
+
+    Outside (gaps None and clear True): some wall is on the wrong side by
+    more than the margin, a maximal gap < -margin or an addable gap >
+    margin (see _clear_outside; the walls before the first wrong one are
+    on the right side, so the test starts there).  As z_1 >= 0 for every
+    Params (a ratio of sums of nonnegative terms), the margin is >= tol *
+    z1, so that wall fails _region_gaps(g, z, tol) unflagged."""
     n = len(b) - 1
     walls = _cached_graph_of_b(b).walls
     zs = ", ".join(f"z{k}" for k in range(1, n + 1))
@@ -190,7 +201,10 @@ def _step_source(b: tuple[int, ...]) -> str:
     for k, (i, j, is_maximal) in enumerate(walls):
         lines.append(f"    x{k} = {_gap_source(i, j)}")
         lines.append(f"    if {'not ' if is_maximal else ''}x{k} > 0:")
-        lines.append("        return z, None, False")
+        out = f"x{k} < -max(tol, 1e-12) * z1" if is_maximal else f"x{k} > max(tol, 1e-12) * z1"
+        if k + 1 < len(walls):
+            out += f" or outside(walls[{k + 1}:], z, tol)"
+        lines.append(f"        return z, None, tol is not None and ({out})")
     tests = [f"z{k} >= 0" for k in range(1, n + 1)]
     tests += [f"x{k} > margin" if is_maximal else f"x{k} < low" for k, (_, _, is_maximal) in enumerate(walls)]
     lines += ["    if tol is not None:",
@@ -203,7 +217,8 @@ def _step_source(b: tuple[int, ...]) -> str:
 
 def _compile(plan: _Plan) -> tuple[Callable, Callable]:
     """The plan's solve and walk step: _kernel_source compiled once."""
-    return compile_functions(_kernel_source(plan), f"<solve kernel of b map {plan.b}>", "solve", "step")
+    return compile_functions(_kernel_source(plan), f"<solve kernel of b map {plan.b}>", "solve", "step",
+                             walls=_cached_graph_of_b(plan.b).walls, outside=_clear_outside)
 
 
 def _path_weights(plan: _Plan, q: Sequence[Number]) -> list[dict[int, Number]]:
@@ -275,6 +290,47 @@ def _solve(plan: _Plan, q: Sequence[Number], d: Sequence[Number]) -> tuple[Numbe
         plan.kernel, plan.step = _compile(plan)
         kernel = plan.kernel
     return kernel(q, d)
+
+
+def _step(plan: _Plan, q: Sequence[Number], d: Sequence[Number], tol: Number | None) -> tuple[tuple, tuple | None, bool]:
+    """The walk step (z, gaps, clear) on the plan's graph, as _step_source
+    defines it: the compiled step once the plan has one, else _solve (which
+    interprets, or compiles on the call that makes the plan hot) and
+    _wall_test."""
+    step = plan.step
+    if step is not None:
+        return step(q, d, tol)
+    return _wall_test(_cached_graph_of_b(plan.b).walls, _solve(plan, q, d), tol)
+
+
+def _wall_test(walls: tuple, z: tuple, tol: Number | None) -> tuple[tuple, tuple | None, bool]:
+    """The compiled step's wall test in Python, for a plan not yet
+    compiled: (z, gaps, False) when _region_gaps(g, z, 0) holds, else
+    (z, None, clear) with clear outside as the step computes it.  It never
+    reports clear inside, so with every b map cold, classify takes its
+    full check of every proposal (the tests compare it with the shortcut
+    a clear walk takes)."""
+    z1 = z[0]
+    gaps = []
+    for k, (i, j, is_maximal) in enumerate(walls):
+        gap = z1 - sum(z[i:j])
+        if (gap > 0) != is_maximal:
+            return z, None, tol is not None and _clear_outside(walls[k:], z, tol)
+        gaps.append(gap)
+    return z, tuple(gaps), False
+
+
+def _clear_outside(walls: tuple, z: tuple, tol: Number) -> bool:
+    """Some wall (i, j, is_maximal) of walls is on the wrong side of z by
+    more than the margin max(tol, 1e-12) * z_1: a maximal gap below
+    -margin or an addable gap above it, each gap as _region_gaps sums it."""
+    z1 = z[0]
+    margin = max(tol, 1e-12) * z1
+    for i, j, is_maximal in walls:
+        gap = z1 - sum(z[i:j])
+        if gap < -margin if is_maximal else gap > margin:
+            return True
+    return False
 
 
 def _interpret(plan: _Plan, q: Sequence[Number], d: Sequence[Number]) -> tuple[Number, ...]:
@@ -498,12 +554,11 @@ def _walk(
 
     The walk runs on b maps, which fix the graphs: a step costs one
     solve, O(N) wall tests and at most O(N^2) pair sums, and its plan
-    comes from a cache keyed by the b map.  A hot b map runs the solve
-    and the wall tests as one call of its compiled step, which also tells
-    whether the test holds clear at tol (see _step_source; a float walk
-    passes its tol, an exact one None); a cold one runs _solve, as
-    solve_system does, and _region_gaps at tol 0, and never reports
-    clear.  The next b map is one call of _gap_b_of_n(N), looked up once.
+    comes from a cache keyed by the b map.  Each step is one call of
+    _step, which also tells whether the test holds clear at tol (a float
+    walk passes its tol, an exact one None); a cold b map never reports
+    clear inside.  The next b map is one call of _gap_b_of_n(N), looked
+    up once.
     """
     n = len(d)
     if b is None:
@@ -511,19 +566,10 @@ def _walk(
     gap_b = _gap_b_of_n(n)
     seen = set()
     while b not in seen:
-        plan = _plan_b(b)
-        step = plan.step
-        if step is None:
+        z, gaps, clear = _step(_plan_b(b), q, d, tol)
+        if gaps is not None:
             g = _cached_graph_of_b(b)
-            z = _solve(plan, q, d)
-            ok, flags = _region_gaps(g, z, 0)
-            if ok:
-                return g, z, flags, False
-        else:
-            z, gaps, clear = step(q, d, tol)
-            if gaps is not None:
-                g = _cached_graph_of_b(b)
-                return g, z, frozenset(w[:2] for w, x in zip(g.walls, gaps) if x == 0), clear
+            return g, z, frozenset(w[:2] for w, x in zip(g.walls, gaps) if x == 0), clear
         seen.add(b)
         b = gap_b(z, 0)
     return _cached_graph_of_b(b), _solve(_plan_b(b), q, d), None, False
@@ -567,10 +613,12 @@ def classify(params: Params, tol: Number = 1e-9) -> RegionReport:
     When the float walk ends clear of every wall (see _walk), the
     proposal is the walk's graph and, for float input, the report is that
     graph verified without flags, with no further pair sum or wall test.
-    cyclic.conjecture_probe reads that report straight off the walk of
-    its sample's (q, d) row; where the walk does not end clear, it passes
-    that walk to _settle, as classify does, so each sample is walked
-    once.  The tests hold it to a probe that classifies every sample.
+    cyclic.conjecture_probe walks only the samples that its target
+    graph's step (see _step) does not put clearly outside that graph, and
+    reads the report of such a sample straight off the walk of its
+    (q, d) row; where the walk does not end clear, it passes that walk to
+    _settle, as classify does, so each sample is walked at most once.
+    The tests hold it to a probe that classifies every sample.
     """
     _check_tol(tol)
     try:

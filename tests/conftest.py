@@ -82,11 +82,25 @@ def replay_jump_order(params: Params, graph: combinatorics.DCGraph, z) -> Cyclic
     return _order_from_times([(t, i) for i, t in first.items()], profile.period, exact)
 
 
+def clearly_outside(g: combinatorics.DCGraph, params: Params, tol) -> bool:
+    """Some wall of g is on the wrong side of the parameters by more than
+    the margin max(tol, 1e-12) * z_1, with z = solve_system(g, params): a
+    maximal gap below -margin, or an addable gap above it.  The oracle for
+    the rule by which the conjecture probe rejects a sample unwalked."""
+    z = regions.solve_system(g, params)
+    margin = max(tol, 1e-12) * z[0]
+    gaps = [(z[0] - sum(z[i:j]), is_maximal) for i, j, is_maximal in g.walls]
+    return any(gap < -margin if is_maximal else gap > margin for gap, is_maximal in gaps)
+
+
 def reference_conjecture_probe(
     g: combinatorics.DCGraph, budget: int, seed: int, tol=1e-9
 ) -> ProbeReport:
-    """cyclic.conjecture_probe with one `sample_params` call per sample:
-    the oracle for the probe, which draws its samples a chunk at a time."""
+    """cyclic.conjecture_probe with one `sample_params` call per sample,
+    each located by classify: the oracle for the probe, which draws its
+    samples a chunk at a time and walks only those not clearly outside
+    the region of g.  An ambiguous report counts in skipped unless the
+    sample is clearly outside g (see clearly_outside)."""
     if combinatorics.connected_component_of_one(g).n != g.n:
         raise DisconnectedRegionError(g)
     extensions = circular_extensions(g)
@@ -98,7 +112,7 @@ def reference_conjecture_probe(
         params = sample_params(rng, g.n)
         report = regions.classify(params, tol=tol)
         if report.ambiguous:
-            skipped += 1
+            skipped += not clearly_outside(g, params, tol)
             continue
         if report.graph != g:
             continue

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    clearly_outside,
     random_rational_params,
     reference_conjecture_probe,
     reference_f_map,
@@ -337,24 +338,81 @@ def test_probe_matches_the_one_sample_at_a_time_oracle(n, monkeypatch):
 
 
 def test_probe_walks_each_sample_once(cold_plans, monkeypatch):
-    # with every b map cold no walk ends clear, so every sample is settled
-    # from the walk the probe made, never walked again by classify
-    monkeypatch.setattr(regions, "_COMPILE_AFTER", math.inf)
-    walks = []
-    walk = regions._walk
+    # no sample is walked twice (a sample is settled from the walk the
+    # probe made, never walked again by classify), and no sample the
+    # rejection rule drops is walked: on the interpreted tier, where no
+    # walk ends clear and every walked sample is settled, and with every
+    # b map compiled on first use
+    walks, settled = [], []
+    walk, settle = regions._walk, cyclic._settle
 
     def counted(*args, **kwargs):
-        walks.append(args)
+        walks.append(tuple(args[0]))
         return walk(*args, **kwargs)
 
     monkeypatch.setattr(regions, "_walk", counted)
     monkeypatch.setattr(cyclic, "_walk", counted)
+    monkeypatch.setattr(cyclic, "_settle", lambda *args: settled.append(args[0].q) or settle(*args))
     for module in (regions, cyclic):
         monkeypatch.setattr(module, "classify", lambda *args, **kwargs: pytest.fail("classify called"))
-    g = [g for g in enumerate_dc(5) if connected_component_of_one(g).n == 5][3]
-    report = conjecture_probe(g, 200, 1)
-    assert report.samples == 200
-    assert len(walks) == report.samples
+    g = [g for g in enumerate_dc(5) if connected_component_of_one(g).n == 5][12]
+    for compile_after in (math.inf, 0):
+        monkeypatch.setattr(regions, "_COMPILE_AFTER", compile_after)
+        regions._plan_b.cache_clear()
+        walks.clear()
+        settled.clear()
+        report = conjecture_probe(g, 200, 1)
+        assert report.samples == 200
+        rng = np.random.default_rng(1)
+        samples = [sample_params(rng, 5) for _ in range(report.samples)]
+        kept = [p.q for p in samples if not clearly_outside(g, p, 1e-9)]
+        assert walks == kept and 0 < len(kept) < report.samples // 10, compile_after
+        if compile_after == math.inf:
+            assert settled == kept
+
+
+def test_a_probe_shorter_than_the_compile_threshold_compiles_nothing(cold_plans, monkeypatch):
+    # the rejection solves the plan of g once per sample, on the tier its
+    # count gives it: a short probe in a fresh process compiles no plan,
+    # and g's own compiles once it has been solved _COMPILE_AFTER times
+    compiled = []
+    real = regions._compile
+    monkeypatch.setattr(regions, "_compile", lambda plan: compiled.append(plan.b) or real(plan))
+    graphs = [g for g in enumerate_dc(5) if connected_component_of_one(g).n == 5]
+    for g in graphs:
+        regions._plan_b.cache_clear()
+        conjecture_probe(g, regions._COMPILE_AFTER - 1, 1)
+    assert compiled == []
+    regions._plan_b.cache_clear()
+    conjecture_probe(graphs[3], regions._COMPILE_AFTER + 1, 1)
+    assert compiled == [graphs[3].b]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_a_sample_the_probe_rejects_gets_no_unambiguous_report_of_its_graph(n):
+    # the rejection rule, on both tiers, is clearly_outside; and classify
+    # never gives a sample it rejects a report that names g unambiguously
+    rng = np.random.default_rng(n)
+    samples = [sample_params(rng, n) for _ in range(60)]
+    tols = (1e-9, 0, 1e-3, 0.1)
+    reports = {(i, tol): classify(params, tol=tol) for i, params in enumerate(samples) for tol in tols}
+    rejected = near = 0
+    for g in (g for g in enumerate_dc(n) if connected_component_of_one(g).n == n):
+        _, step = regions._compile(regions._plan_b(g.b))
+        for i, params in enumerate(samples):
+            z = regions.solve_system(g, params)
+            for tol in tols:
+                _, gaps, clear = step(params.q, params.d, tol)
+                _, cold_gaps, cold_clear = regions._wall_test(g.walls, z, tol)
+                out = clearly_outside(g, params, tol)
+                assert (gaps is None and clear) == (cold_gaps is None and cold_clear) == out, (g, params, tol)
+                report = reports[i, tol]
+                if out:
+                    rejected += 1
+                    assert report.ambiguous or report.graph != g, (g, params, tol)
+                elif gaps is None:
+                    near += 1  # outside g at tol 0, within the margin of its walls
+    assert rejected and near
 
 
 def test_probe_matches_the_oracle_when_it_stops_early():

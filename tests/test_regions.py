@@ -1045,30 +1045,35 @@ def test_gap_b_compiles_at_n60_within_a_second():
 
 def _wall_step_reference(g, z, tol):
     """(flags, clear) of the compiled step, from _region_gaps at tol 0
-    (flags None where it fails) and the clear rule written out on the
-    walls."""
+    (flags None where it fails) and the clear rules written out on the
+    walls: inside, every wall on its side by the margin; outside, some
+    wall on the wrong side by it."""
     ok, flags = regions._region_gaps(g, z, 0)
     if not ok:
         flags = None
-    if flags is None or tol is None:
+    if tol is None:
         return flags, False
     z1 = z[0]
     margin, low = max(tol, 1e-12) * z1, -tol * z1
-    clear = all(x >= 0 for x in z) and all(
-        z1 - sum(z[i:j]) > margin if is_maximal else z1 - sum(z[i:j]) < low for (i, j, is_maximal) in g.walls)
+    gaps = [(z1 - sum(z[i:j]), is_maximal) for (i, j, is_maximal) in g.walls]
+    if flags is None:
+        return None, any(x < -margin if is_maximal else x > margin for x, is_maximal in gaps)
+    clear = all(x >= 0 for x in z) and all(x > margin if is_maximal else x < low for x, is_maximal in gaps)
     return flags, clear
 
 
 def test_compiled_step_matches_the_wall_tests_on_every_graph_to_n8():
     """The step of every graph at N <= 8, on points in its region and on
-    others, float (at three tolerances) and exact (wall points too): z as
+    others, float (at four tolerances) and exact (wall points too): z as
     the solve gives it, the verdict and flags of _region_gaps at tol 0,
-    clear exactly where the rule holds, and where it does, the b map of
-    gap_b at the proposal margin is the graph's and _region_gaps
-    verifies unflagged."""
+    clear exactly where the rule holds, inside or outside.  Where it
+    holds inside, the b map of gap_b at the proposal margin is the
+    graph's and _region_gaps verifies unflagged; where it holds outside,
+    _region_gaps fails at tol.  The interpreted tier's wall test gives
+    the same verdicts, and never clear inside."""
     rng = random.Random(23)
     np_rng = np.random.default_rng(23)
-    statuses = {"out": 0, "holds": 0, "flagged": 0, "clear": 0}
+    statuses = {"out": 0, "clear out": 0, "holds": 0, "flagged": 0, "clear": 0}
     for n in range(1, 9):
         floats = [sample_params(np_rng, n) for _ in range(20)]
         exact = [p.as_exact() for p in floats[:3]] + [random_rational_params(rng, n) for _ in range(4)]
@@ -1080,15 +1085,18 @@ def test_compiled_step_matches_the_wall_tests_on_every_graph_to_n8():
             plan = regions._plan_b(g.b)
             solve, step = regions._compile(plan)
             for params in home.get(g.b, []) + rng.sample(floats, 2) + rng.sample(exact, 2):
-                for tol in ((None,) if params.is_exact else (None, 0, 1e-9, 1e-2)):
+                for tol in ((None,) if params.is_exact else (None, 0, 1e-9, 1e-2, 0.1)):
                     z, gaps, clear = step(params.q, params.d, tol)
                     assert repr(z) == repr(solve(params.q, params.d))
                     flags, want_clear = _wall_step_reference(g, z, tol)
                     assert clear == want_clear, (g, params, tol)
                     assert (gaps is None) == (flags is None), (g, params, tol)
+                    _, cold_gaps, cold_clear = regions._wall_test(g.walls, z, tol)
+                    assert (cold_gaps is None) == (gaps is None) and cold_clear == (clear and gaps is None)
                     if gaps is None:
-                        statuses["out"] += 1
+                        statuses["clear out" if clear else "out"] += 1
                         assert not regions._region_gaps(g, z, 0)[0]
+                        assert not clear or not regions._region_gaps(g, z, tol)[0]
                     elif clear:
                         statuses["clear"] += 1
                         assert gaps == () and flags == frozenset()
@@ -1099,6 +1107,7 @@ def test_compiled_step_matches_the_wall_tests_on_every_graph_to_n8():
                         statuses["flagged"] += bool(flags)
                         assert frozenset(w[:2] for w, x in zip(g.walls, gaps) if x == 0) == flags
                         assert regions._region_gaps(g, z, 0) == (True, flags)
+                        assert cold_gaps == gaps
     assert all(statuses.values()), statuses
 
 
