@@ -1,6 +1,6 @@
 """The one way the package turns Python source it generated into functions:
-the per-b-map solve and walk-step kernels and the per-N next-b-map
-function of regions, and the per-N bin event loop of dynamics."""
+the per-b-map solve and walk-step kernels of regions and the per-N bin
+event loop of dynamics."""
 from __future__ import annotations
 
 from typing import Callable

@@ -118,8 +118,8 @@ class Params:
         )
 
     def normalized_rates(self) -> "Params":
-        """Same thresholds, rates rescaled to sum to 1."""
-        total = sum(self.p)
+        """Same thresholds, rates rescaled to sum to 1: each divided by q_N."""
+        total = self.q[-1]
         return Params(self.a, tuple(pi / total for pi in self.p))
 
     def to_json_dict(self) -> dict:

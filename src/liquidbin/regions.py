@@ -17,17 +17,25 @@ a straight-line Python function that computes the same terms in the same
 order, so hot graphs skip the interpretation and cold ones the compile.
 The same compile gives the b map a walk step, the solve followed by its
 wall test (that of _region_gaps at tol 0), and the walk finds the next b
-map with a function generated once per N (_gap_b_of_n).  One helper,
-_step, runs a b map's step on either tier, for the walk and for the
-conjecture probe's test of a sample against its target graph.
+map with a loop over the pair gaps (_next_b).  One helper, _step, runs a
+b map's step on either tier, for the walk and for the conjecture probe's
+test of a sample against its target graph.
+
+Every sum on the classify path (the solve, the path weights, the wall
+gaps and the next b map) is a left-to-right fold from 0: generated code
+writes it t1 + t2 + ..., Python code calls _sum or grows a running total
+term by term.  So both tiers give the same bits on every Python version,
+and builtin sum, which compensates float rounding from Python 3.12 on,
+is not called here.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import product
-from typing import Callable, Sequence
+from operator import add
+from typing import Callable, Iterable, Sequence
 
 from .combinatorics import (
     DCGraph,
@@ -42,6 +50,12 @@ from .combinatorics import (
 from ._codegen import compile_functions
 from ._parallel import parallel_map
 from .params import Number, Params, ParamsError, parse_number
+
+
+def _sum(terms: Iterable[Number]) -> Number:
+    """The terms added left to right from the int 0 (see the module
+    docstring)."""
+    return reduce(add, terms, 0)
 
 
 # solves a plan interprets before it compiles its solve and walk step:
@@ -89,7 +103,7 @@ def _plan_b(b: tuple[int, ...]) -> _Plan:
     q_N that overflows), and a path weight with no path behind it is a
     sum of products with such zeros.  On a DC graph b is nondecreasing,
     so every weight is >= 0 and no partial sum is -0.0; adding +0.0
-    changes no bit of a float sum, compensated (Python 3.12+) or not.
+    changes no bit of a float sum.
     Skipping those terms leaves every result bit-identical to the dense
     sums, except where a weight overflows to inf: there the dense sums
     held 0 * inf = nan terms, and a solution that already holds nan or
@@ -124,24 +138,20 @@ def _kernel_source(plan: _Plan) -> str:
     statement per edge weight g{i}_{h}, path weight w{i}_{j}, gap sum s{i}
     and rate sum r{i}.  The terms are those of _path_weights and
     _interpret's gap_sum and rate_sum, in the same order, each computed as
-    they compute it, with two rewrites that move no bit: a path weight of
-    1 drops out of its product (x * 1 and 1 * x are x, in value and type,
-    for a float or a Fraction), and each rate difference
-    q[b(j)] - q[b(j-1)] is a local e{j}, computed once.  Every sum of two
-    or more terms is one sum((t1, t2, ...)) call, never t1 + t2, so it
-    rounds as the interpreted sum() does on every Python version,
-    compensated (3.12+) or not; a single term stands alone, since
-    sum((t,)) is 0 + t, which is t unless t is -0.0, and no term is: each
-    is a product or quotient of values >= 0 (see _plan_b).  Only the
-    plan's integer indices reach the text."""
+    they compute it, with three rewrites that move no bit: a path weight
+    of 1 drops out of its product (x * 1 and 1 * x are x, in value and
+    type, for a float or a Fraction), each rate difference
+    q[b(j)] - q[b(j-1)] is a local e{j}, computed once, and a sum is
+    written t1 + t2 + ..., without the 0 that _sum starts from: 0 + t is
+    t unless t is -0.0, and no term is, each being a product or quotient
+    of values >= 0 (see _plan_b).  Only the plan's integer indices reach
+    the text."""
     b = tuple(map(int, plan.b))
     n = len(b) - 1
     gammas, paths, rated = plan.gammas, plan.paths, plan.rated
 
     def total(terms: list[str]) -> str:
-        if len(terms) > 1:
-            return f"sum(({', '.join(terms)},))"
-        return terms[0] if terms else "0"  # sum((t,)) is t, sum(()) the int 0
+        return " + ".join(terms) or "0"  # _sum(()) is the int 0
 
     lines = ["def solve(q, d):",
              f"    {''.join(f'q{k}, ' for k in range(n + 1))}= q",
@@ -178,20 +188,19 @@ def _step_source(b: tuple[int, ...]) -> str:
 
     Inside (gaps () and clear True): every z_i >= 0, every maximal gap >
     the margin and every addable gap < -tol * z1.  Then _region_gaps(g,
-    z, tol) verifies without flags, and _gap_b_of_n(N)(z, margin) is b:
-    an addable pair fails the margin, and a sub-pair of a maximal edge
-    sums a part of its nonnegative terms, so its gap is no smaller.  (A
-    float sum of nonnegative terms does not grow when terms are left out:
-    so it is for the left-to-right sum of Python <= 3.11, and, but for a
-    last-bit rounding, for the compensated sum of 3.12+; the tests check
-    the claim.)
+    z, tol) verifies without flags, and _next_b(z, margin) is b: an
+    addable pair fails the margin, and a sub-pair of a maximal edge sums a
+    part of its nonnegative terms in the same order, so its gap is no
+    smaller: rounding is monotone, so a left-to-right float sum of
+    nonnegative terms does not grow when terms are left out.
 
     Outside (gaps None and clear True): some wall is on the wrong side by
     more than the margin, a maximal gap < -margin or an addable gap >
-    margin (see _clear_outside; the walls before the first wrong one are
-    on the right side, so the test starts there).  As z_1 >= 0 for every
-    Params (a ratio of sums of nonnegative terms), the margin is >= tol *
-    z1, so that wall fails _region_gaps(g, z, tol) unflagged."""
+    margin.  The step hands the walls from the first wrong one on to
+    _clear_outside, as _wall_test does (the walls before it are on the
+    right side).  As z_1 >= 0 for every Params (a ratio of sums of
+    nonnegative terms), the margin is >= tol * z1, so that wall fails
+    _region_gaps(g, z, tol) unflagged."""
     n = len(b) - 1
     walls = _cached_graph_of_b(b).walls
     zs = ", ".join(f"z{k}" for k in range(1, n + 1))
@@ -201,10 +210,7 @@ def _step_source(b: tuple[int, ...]) -> str:
     for k, (i, j, is_maximal) in enumerate(walls):
         lines.append(f"    x{k} = {_gap_source(i, j)}")
         lines.append(f"    if {'not ' if is_maximal else ''}x{k} > 0:")
-        out = f"x{k} < -max(tol, 1e-12) * z1" if is_maximal else f"x{k} > max(tol, 1e-12) * z1"
-        if k + 1 < len(walls):
-            out += f" or outside(walls[{k + 1}:], z, tol)"
-        lines.append(f"        return z, None, tol is not None and ({out})")
+        lines.append(f"        return z, None, tol is not None and outside(walls[{k}:], z, tol)")
     tests = [f"z{k} >= 0" for k in range(1, n + 1)]
     tests += [f"x{k} > margin" if is_maximal else f"x{k} < low" for k, (_, _, is_maximal) in enumerate(walls)]
     lines += ["    if tol is not None:",
@@ -232,7 +238,7 @@ def _path_weights(plan: _Plan, q: Sequence[Number]) -> list[dict[int, Number]]:
         gam = {h: (top - q[mid]) / bot for (h, mid) in plan.gammas[i]}
         row = {i: 1}
         for j, heads in plan.paths[i]:
-            row[j] = sum(gam[h] * rows[h][j] for h in heads)
+            row[j] = _sum(gam[h] * rows[h][j] for h in heads)
         rows[i] = row
     return rows
 
@@ -313,7 +319,7 @@ def _wall_test(walls: tuple, z: tuple, tol: Number | None) -> tuple[tuple, tuple
     z1 = z[0]
     gaps = []
     for k, (i, j, is_maximal) in enumerate(walls):
-        gap = z1 - sum(z[i:j])
+        gap = z1 - _sum(z[i:j])
         if (gap > 0) != is_maximal:
             return z, None, tol is not None and _clear_outside(walls[k:], z, tol)
         gaps.append(gap)
@@ -327,7 +333,7 @@ def _clear_outside(walls: tuple, z: tuple, tol: Number) -> bool:
     z1 = z[0]
     margin = max(tol, 1e-12) * z1
     for i, j, is_maximal in walls:
-        gap = z1 - sum(z[i:j])
+        gap = z1 - _sum(z[i:j])
         if gap < -margin if is_maximal else gap > margin:
             return True
     return False
@@ -339,11 +345,11 @@ def _interpret(plan: _Plan, q: Sequence[Number], d: Sequence[Number]) -> tuple[N
     rows = _path_weights(plan, q)
 
     def gap_sum(i: int) -> Number:
-        return sum(v * d[j - 1] / q[b[j - 1]] for j, v in rows[i].items())
+        return _sum(v * d[j - 1] / q[b[j - 1]] for j, v in rows[i].items())
 
     def rate_sum(i: int) -> Number:
         row = rows[i]
-        return sum(row[j] * (q[b[j]] - q[b[j - 1]]) / q[b[j - 1]] for j in rated[i])
+        return _sum(row[j] * (q[b[j]] - q[b[j - 1]]) / q[b[j - 1]] for j in rated[i])
 
     z1 = gap_sum(1) / (1 + rate_sum(1))
     z = [z1]
@@ -381,7 +387,7 @@ def system_residual(g: DCGraph, params: Params, z: Sequence[Number]) -> Number:
         prefix.append(prefix[-1] + zi)
     worst = 0
     for i in range(1, n + 1):
-        acc = sum(p[j - 1] * (prefix[i] - prefix[j] + z[0]) for j in range(1, b[i] + 1))
+        acc = _sum(p[j - 1] * (prefix[i] - prefix[j] + z[0]) for j in range(1, b[i] + 1))
         worst = max(worst, abs(params.a[i - 1] - acc))
     return worst
 
@@ -427,7 +433,7 @@ def _region_gaps(g: DCGraph, z: Sequence[Number], tol: Number) -> tuple[bool, fr
     flags = set()
     ok = True
     for (i, j, is_maximal) in g.walls:
-        gap = z1 - sum(z[i:j])
+        gap = z1 - _sum(z[i:j])
         if abs(gap) <= tau:
             flags.add((i, j))
             ok = ok and not is_maximal
@@ -486,50 +492,36 @@ def find_region(params: Params, tol: Number = 0) -> tuple[DCGraph, frozenset[Edg
 
 def _gap_source(i: int, j: int) -> str:
     """Source of the gap of pair (i, j) from the locals z1, z2, ...:
-    z1 - sum((z{i+1}, ..., z{j},)), one sum per pair, as _region_gaps
-    sums z[0] - sum(z[i:j]), so the bits are its own on every Python
-    version.  A single term is subtracted as it is: sum((x,)) is x but
-    for -0.0, whose sum is +0.0, so the gap can differ only in the sign
-    of a zero, which no comparison sees."""
-    if j == i + 1:
-        return f"z1 - z{j}"
-    return f"z1 - sum(({''.join(f'z{m}, ' for m in range(i + 1, j + 1))}))"
+    z1 - (z{i+1} + ... + z{j}), as _region_gaps computes z[0] - _sum(z[i:j])
+    but for the leading 0 of the fold.  0 + x is x but for -0.0, whose
+    sum is +0.0, so the gap can differ only in the sign of a zero, which
+    no comparison sees."""
+    return f"z1 - ({' + '.join(f'z{m}' for m in range(i + 1, j + 1))})"
 
 
-def _gap_b_source(n: int) -> str:
-    """Python source of gap_b(z, margin) at N = n: row i of the b map is
-    the local b{i}, which starts at i and moves to k while b{i} == k - 1
-    < b{i+1} and the gap of (i, k) is above the margin, for k = i+1..N
-    in turn.  So the gaps summed are the loop's, in its order, each as
-    the wall tests sum it (see _gap_source).  One flat if per pair and no
-    nesting, so any N compiles: the tokenizer allows at most 100 indent
-    levels."""
-    lines = ["def gap_b(z, margin):",
-             f"    {''.join(f'z{k}, ' for k in range(1, n + 1))}= z",
-             f"    b{n} = {n}"]
+def _next_b(z: Sequence[Number], margin: Number) -> tuple[int, ...]:
+    """The b map of the largest downward-closed set of pairs (i, j) with
+    z_1 - (z_{i+1} + ... + z_j) > margin (all pairs when z > 0): the
+    graph the walk steps to.  A pair is in that set when it is above the
+    margin and its immediate children (i+1, j) and (i, j-1) are (every
+    sub-pair is reached from it by such steps), so row i is the run of
+    pairs above the margin from (i, i+1) up to at most b(i+1).  Going
+    down i, only those pairs are summed, each gap's sum grown from the
+    last by one term, left to right from 0 as the wall tests sum it: at
+    most O(N^2) additions."""
+    n = len(z)
+    z1 = z[0]
+    b = [1] * (n + 1)
+    b[n] = top = n
     for i in range(n - 1, 0, -1):
-        lines.append(f"    b{i} = {i}")
-        for k in range(i + 1, n + 1):
-            gap = f"{_gap_source(i, k)} > margin"
-            # b{i} == i < b{i+1} always holds for k = i + 1
-            lines.append(f"    if {gap if k == i + 1 else f'b{i} == {k - 1} < b{i + 1} and {gap}'}:")
-            lines.append(f"        b{i} = {k}")
-    lines.append(f"    return (1, {''.join(f'b{i}, ' for i in range(1, n + 1))})")
-    return "\n".join(lines) + "\n"
-
-
-@lru_cache(maxsize=64)
-def _gap_b_of_n(n: int) -> Callable:
-    """gap_b(z, margin) for z of length n, _gap_b_source compiled once:
-    the b map of the largest downward-closed set of pairs (i, j) with
-    z_1 - (z_{i+1} + ... + z_j) > margin (all pairs when z > 0).  A pair
-    is in that set when it is above the margin and its immediate children
-    (i+1, j) and (i, j-1) are (every sub-pair is reached from it by such
-    steps), so row i is the run of pairs above the margin from (i, i+1)
-    up to at most b(i+1).  Going down i, only those pairs are summed: at
-    most O(N^2) gaps, each z[0] - sum(z[i:j]) as the wall tests sum it."""
-    gap_b, = compile_functions(_gap_b_source(n), f"<next b map, N = {n}>", "gap_b")
-    return gap_b
+        k, acc = i, 0
+        while k < top:
+            acc = acc + z[k]
+            if not z1 - acc > margin:
+                break
+            k += 1
+        b[i] = top = k
+    return tuple(b)
 
 
 def _walk(
@@ -557,13 +549,11 @@ def _walk(
     comes from a cache keyed by the b map.  Each step is one call of
     _step, which also tells whether the test holds clear at tol (a float
     walk passes its tol, an exact one None); a cold b map never reports
-    clear inside.  The next b map is one call of _gap_b_of_n(N), looked
-    up once.
+    clear inside.  The next b map is one call of _next_b.
     """
     n = len(d)
     if b is None:
         b = (1, *range(1, n + 1))
-    gap_b = _gap_b_of_n(n)
     seen = set()
     while b not in seen:
         z, gaps, clear = _step(_plan_b(b), q, d, tol)
@@ -571,7 +561,7 @@ def _walk(
             g = _cached_graph_of_b(b)
             return g, z, frozenset(w[:2] for w, x in zip(g.walls, gaps) if x == 0), clear
         seen.add(b)
-        b = gap_b(z, 0)
+        b = _next_b(z, 0)
     return _cached_graph_of_b(b), _solve(_plan_b(b), q, d), None, False
 
 
@@ -633,7 +623,7 @@ def classify(params: Params, tol: Number = 1e-9) -> RegionReport:
 def _settle(params: Params, tol: Number, g: DCGraph, z: tuple, clear: bool) -> RegionReport:
     """classify's report from its float walk: g and z where the walk of
     the float image ended, and whether it ended clear at tol."""
-    proposal = g.b if clear else _gap_b_of_n(len(z))(z, max(tol, 1e-12) * z[0])
+    proposal = g.b if clear else _next_b(z, max(tol, 1e-12) * z[0])
     if params.is_exact:
         g, z, flags = _exact_walk(params, proposal)
         return _report(params, g, z, True, flags)
@@ -667,9 +657,9 @@ def boundary_gap(g: DCGraph, params: Params, e: Edge) -> BoundaryGap:
     plan = _plan_b(g.b)
     b, rows = plan.b, _path_weights(plan, q)
     z = solve_system(g, params)
-    zij = sum(z[i:j])
+    zij = _sum(z[i:j])
     # one flat sum in the dense k-then-l order: per-k subtotals round differently
-    denom = 1 + sum(
+    denom = 1 + _sum(
         rows[k][l] * (q[b[l]] - q[b[l - 1]]) / q[b[l - 1]]
         for k in range(i + 1, j + 1)
         for l in plan.rated[k]

@@ -347,8 +347,7 @@ def reference_f_map(z: CyclicOrder) -> combinatorics.DCGraph:
 def gap_edges(z, margin) -> frozenset:
     """The pairs (i, j) whose sub-pairs (i', j') all have
     z_1 - (z_{i'+1} + ... + z_{j'}) > margin, as a pair set: the oracle
-    for regions._gap_b_of_n, whose function builds the b map of this set
-    directly.
+    for regions._next_b, which builds the b map of this set directly.
 
     By increasing length, a pair is kept when it is above the margin and
     its two immediate children (i+1, j) and (i, j-1) are kept.
@@ -365,10 +364,9 @@ def gap_edges(z, margin) -> frozenset:
 
 
 def reference_gap_b(z, margin) -> tuple[int, ...]:
-    """The function of regions._gap_b_of_n as the loop it was before it
-    was generated per N: the oracle for the compiled function.  Row i
-    runs from (i, i+1) while the pair is above the margin, up to at most
-    b(i+1)."""
+    """regions._next_b with each pair's gap summed from scratch: the
+    oracle for its running totals.  Row i runs from (i, i+1) while the
+    pair is above the margin, up to at most b(i+1)."""
     n = len(z)
     b = [1] * (n + 1)
     b[n] = n
